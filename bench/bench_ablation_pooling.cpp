@@ -4,8 +4,6 @@
 // interaction altogether, while AF makes that interaction fast.
 #include "bench_common.hpp"
 
-#include "smr/pooling_executor.hpp"
-
 using namespace emr;
 using namespace emr::bench;
 
@@ -25,11 +23,8 @@ int main() {
     cfg.reclaimer = reclaimer;
     harness::Trial trial(cfg);
     const harness::TrialResult r = trial.run();
-    std::uint64_t pooled = 0;
-    if (auto* pool = dynamic_cast<smr::PoolingFreeExecutor*>(
-            &trial.reclaimer().executor())) {
-      pooled = pool->total_pooled_allocs();
-    }
+    const std::uint64_t pooled =
+        trial.reclaimer().executor().total_pooled_allocs();
     table.add_row({reclaimer, harness::fixed(r.mops, 2),
                    harness::fixed(r.pct_free, 1),
                    harness::fixed(r.pct_lock, 1),
@@ -40,7 +35,7 @@ int main() {
   table.print();
   table.write_csv(harness::out_dir() + "ablation_pooling.csv");
   std::printf("\nexpected: pooling serves most node allocations from the "
-              "freeable list (paper footnote 4: why VBR beats allocator-"
+              "executor queue (paper footnote 4: why VBR beats allocator-"
               "bound EBRs).\n");
   return 0;
 }

@@ -85,12 +85,21 @@ test -s BENCH_fig_queue.json
 "$BUILD_DIR/bench_fig_homeflush" --smoke --json BENCH_fig_homeflush.json
 test -s BENCH_fig_homeflush.json
 
-# Policy-layer invariant: executors and scheme TUs ask the FreeSchedule
-# for every batching quantum; only smr/free_schedule.cpp may read the
-# raw SmrConfig batching knobs.
+# Policy-layer invariant: the executor and scheme TUs ask the
+# FreeSchedule for every batching quantum; only smr/free_schedule.cpp
+# may read the raw SmrConfig batching knobs. The scan covers every smr/
+# source but the policy layer, so a new or deleted file can neither
+# escape it nor blind it (grep on a missing file exits 2, which `if`
+# would read as clean).
+SMR_POLICY_CLIENTS=()
+for f in smr/*.cpp smr/*.hpp; do
+  case "$f" in
+    smr/free_schedule.cpp | smr/free_schedule.hpp) ;;
+    *) SMR_POLICY_CLIENTS+=("$f") ;;
+  esac
+done
 if grep -nE 'cfg_?\.\s*(batch_size|af_drain_per_op|latency_target_us|flush_batch)' \
-    smr/free_executor.cpp smr/pooling_executor.hpp smr/ebr.cpp \
-    smr/token.cpp smr/hp.cpp smr/he_ibr_wfe.cpp smr/nbr.cpp; then
+    "${SMR_POLICY_CLIENTS[@]}"; then
   echo "ci/check.sh: executor/scheme TU reads a raw batching knob —" \
        "route it through FreeSchedule (smr/free_schedule.cpp)" >&2
   exit 1
@@ -100,8 +109,7 @@ fi
 # never touch the recorder or its percentile math — the harness records,
 # the FreeSchedule consumes on_tail_latency.
 if grep -nE 'LatencyRecorder|LatencyHistogram|latency_percentile' \
-    smr/free_executor.cpp smr/pooling_executor.hpp smr/ebr.cpp \
-    smr/token.cpp smr/hp.cpp smr/he_ibr_wfe.cpp smr/nbr.cpp; then
+    "${SMR_POLICY_CLIENTS[@]}"; then
   echo "ci/check.sh: scheme TU/executor reads latency counters —" \
        "tail feedback flows only through FreeSchedule::on_tail_latency" >&2
   exit 1

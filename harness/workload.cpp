@@ -17,11 +17,27 @@
 #include "ds/queue.hpp"
 #include "ds/set.hpp"
 #include "smr/factory.hpp"
-#include "smr/free_executor.hpp"
 
 namespace emr::harness {
 
 // ------------------------------------------------------------- env glue
+
+namespace {
+
+/// Reads a knob that must be a positive integer. Zero, negative and
+/// unparsable values throw naming the knob and what it is for — they are
+/// never clamped or silently replaced by the default.
+std::size_t positive_env(const char* name, const char* what) {
+  const long long v = env_i64(name, -1);
+  if (v < 1) {
+    throw std::invalid_argument(std::string("invalid ") + name + ": '" +
+                                env_str(name, "") + "' (must be >= 1: " +
+                                what + ")");
+  }
+  return static_cast<std::size_t>(v);
+}
+
+}  // namespace
 
 void apply_env_overrides(TrialConfig& cfg) {
   cfg.ds = env_str("EMR_DS", cfg.ds);
@@ -41,12 +57,12 @@ void apply_env_overrides(TrialConfig& cfg) {
   }
   if (env_has("EMR_SEED")) cfg.seed = env_u64("EMR_SEED", cfg.seed);
   if (env_has("EMR_BATCH")) {
-    cfg.smr.batch_size = static_cast<std::size_t>(
-        std::max<std::uint64_t>(env_u64("EMR_BATCH", cfg.smr.batch_size), 1));
+    cfg.smr.batch_size =
+        positive_env("EMR_BATCH", "the limbo bag / retire-scan size");
   }
   if (env_has("EMR_AF_DRAIN")) {
-    cfg.smr.af_drain_per_op = static_cast<std::size_t>(std::max<std::uint64_t>(
-        env_u64("EMR_AF_DRAIN", cfg.smr.af_drain_per_op), 1));
+    cfg.smr.af_drain_per_op =
+        positive_env("EMR_AF_DRAIN", "the amortized drain quantum per op");
   }
   if (env_has("EMR_SCHEDULE")) {
     // Validity ("fixed" | "adaptive") is enforced by make_free_schedule
@@ -55,13 +71,8 @@ void apply_env_overrides(TrialConfig& cfg) {
     cfg.smr.schedule = env_str("EMR_SCHEDULE", cfg.smr.schedule);
   }
   if (env_has("EMR_FLUSH_BATCH")) {
-    const long long v = env_i64("EMR_FLUSH_BATCH", -1);
-    if (v < 1) {
-      throw std::invalid_argument(
-          "invalid EMR_FLUSH_BATCH: '" + env_str("EMR_FLUSH_BATCH", "") +
-          "' (must be >= 1: the home-flush quantum's ceiling)");
-    }
-    cfg.smr.flush_batch = static_cast<std::size_t>(v);
+    cfg.smr.flush_batch =
+        positive_env("EMR_FLUSH_BATCH", "the home-flush quantum's ceiling");
   }
   if (env_has("EMR_HOME_FLUSH")) {
     // Validity ("on" | "off") is enforced by make_reclaimer, so a typo
@@ -70,55 +81,30 @@ void apply_env_overrides(TrialConfig& cfg) {
     cfg.smr.home_flush = env_str("EMR_HOME_FLUSH", cfg.smr.home_flush);
   }
   if (env_has("EMR_DRAIN_MIN")) {
-    const long long v = env_i64("EMR_DRAIN_MIN", -1);
-    if (v < 1) {
-      throw std::invalid_argument(
-          "invalid EMR_DRAIN_MIN: '" + env_str("EMR_DRAIN_MIN", "") +
-          "' (must be >= 1: the adaptive drain quantum's floor)");
-    }
-    cfg.smr.drain_min = static_cast<std::size_t>(v);
+    cfg.smr.drain_min =
+        positive_env("EMR_DRAIN_MIN", "the adaptive drain quantum's floor");
   }
   if (env_has("EMR_DRAIN_MAX")) {
-    const long long v = env_i64("EMR_DRAIN_MAX", -1);
-    if (v < 1) {
-      throw std::invalid_argument(
-          "invalid EMR_DRAIN_MAX: '" + env_str("EMR_DRAIN_MAX", "") +
-          "' (must be >= 1: the adaptive drain quantum's ceiling)");
-    }
     // drain_max < drain_min fails in make_free_schedule naming both
     // knobs.
-    cfg.smr.drain_max = static_cast<std::size_t>(v);
+    cfg.smr.drain_max =
+        positive_env("EMR_DRAIN_MAX", "the adaptive drain quantum's ceiling");
   }
   if (env_has("EMR_POOL_CAP")) {
-    const long long v = env_i64("EMR_POOL_CAP", -1);
-    if (v <= 0) {
-      throw std::invalid_argument(
-          "invalid EMR_POOL_CAP: '" + env_str("EMR_POOL_CAP", "") +
-          "' (must be a positive node count; unset it for the automatic "
-          "cap of four batches)");
-    }
-    cfg.smr.pool_cap = static_cast<std::size_t>(v);
+    cfg.smr.pool_cap = positive_env(
+        "EMR_POOL_CAP",
+        "a node count; unset it for the automatic cap of four batches");
   }
   if (env_has("EMR_EXTRA_SLOTS")) {
-    const long long v = env_i64("EMR_EXTRA_SLOTS", -1);
-    if (v < 1) {
-      throw std::invalid_argument(
-          "invalid EMR_EXTRA_SLOTS: '" + env_str("EMR_EXTRA_SLOTS", "") +
-          "' (must be >= 1: the registration table needs headroom for "
-          "churn overlap and the teardown handle)");
-    }
-    cfg.smr.extra_slots = static_cast<std::size_t>(v);
+    cfg.smr.extra_slots = positive_env(
+        "EMR_EXTRA_SLOTS",
+        "the registration table needs headroom for churn overlap and the "
+        "teardown handle");
   }
   if (env_has("EMR_LATENCY_TARGET_US")) {
-    const long long v = env_i64("EMR_LATENCY_TARGET_US", -1);
-    if (v < 1) {
-      throw std::invalid_argument(
-          "invalid EMR_LATENCY_TARGET_US: '" +
-          env_str("EMR_LATENCY_TARGET_US", "") +
-          "' (must be >= 1: the latency schedule's p99.9 target in "
-          "microseconds)");
-    }
-    cfg.smr.latency_target_us = static_cast<std::uint64_t>(v);
+    cfg.smr.latency_target_us = positive_env(
+        "EMR_LATENCY_TARGET_US",
+        "the latency schedule's p99.9 target in microseconds");
   }
   if (env_has("EMR_LATENCY")) {
     cfg.enable_latency = env_i64("EMR_LATENCY", 0) != 0;

@@ -11,7 +11,7 @@
 // stamped with their seal epoch, and the slot's next owner adopts them
 // on registration (flush_all drains vacant slots at teardown). Every bag
 // a departing thread leaves behind is marked adopted: when grace later
-// admits it, it goes through the executor's on_adopted() path and drains
+// admits it, it goes through the executor's adopted hand-over and drains
 // at the FreeSchedule quota over the successor's next ops instead of in
 // one free burst.
 //
@@ -72,8 +72,8 @@ class EbrReclaimer final : public Reclaimer {
       EbrSlot& s = slots_[t];
       seal(s);
       while (!s.sealed.empty()) {
-        executor_->on_reclaimable(static_cast<int>(t),
-                                  std::move(s.sealed.front().nodes));
+        executor_->hand_over(static_cast<int>(t), /*adopted=*/false,
+                             std::move(s.sealed.front().nodes));
         s.sealed.pop_front();
       }
       executor_->quiesce(static_cast<int>(t));

@@ -4,7 +4,6 @@
 
 #include "smr/free_schedule.hpp"
 #include "smr/internal.hpp"
-#include "smr/pooling_executor.hpp"
 
 namespace emr::smr {
 
@@ -14,23 +13,6 @@ using internal::EbrOptions;
 using internal::EraVariant;
 using internal::TokenOptions;
 using internal::TokenPolicy;
-
-enum class ExecKind { kBatch, kAmortized, kPooling };
-
-std::unique_ptr<FreeExecutor> make_executor(ExecKind kind,
-                                            const SmrContext& ctx,
-                                            const SmrConfig& cfg,
-                                            FreeSchedule* schedule) {
-  switch (kind) {
-    case ExecKind::kBatch:
-      return std::make_unique<BatchFreeExecutor>(ctx, cfg, schedule);
-    case ExecKind::kAmortized:
-      return std::make_unique<AmortizedFreeExecutor>(ctx, cfg, schedule);
-    case ExecKind::kPooling:
-      return std::make_unique<PoolingFreeExecutor>(ctx, cfg, schedule);
-  }
-  return nullptr;
-}
 
 bool ends_with(const std::string& s, const std::string& suffix) {
   return s.size() > suffix.size() &&
@@ -101,21 +83,21 @@ ReclaimerBundle make_reclaimer(const std::string& name, const SmrContext& ctx,
     throw std::invalid_argument("unknown reclaimer: " + name);
   }
   const std::string suffix = stem.substr(base.size());
-  ExecKind exec = ExecKind::kBatch;
+  FreeMode mode = FreeMode::kBatch;
   ScheduleKind sched = ScheduleKind::kFixed;
   if (suffix == "_af") {
-    exec = ExecKind::kAmortized;
+    mode = FreeMode::kAmortized;
   } else if (suffix == "_pool") {
-    exec = ExecKind::kPooling;
+    mode = FreeMode::kPool;
   } else if (suffix == "_adaptive") {
     // The adaptive variants amortize like _af, but the drain quantum and
     // seal/scan thresholds come from the population-aware controller.
-    exec = ExecKind::kAmortized;
+    mode = FreeMode::kAmortized;
     sched = ScheduleKind::kAdaptive;
   } else if (suffix == "_latency") {
-    // Same amortizing executor, quantum steered by the observed per-op
-    // tail (the driver pumps p99.9 through FreeSchedule::on_tail_latency).
-    exec = ExecKind::kAmortized;
+    // Amortized too, quantum steered by the observed per-op tail (the
+    // driver pumps p99.9 through FreeSchedule::on_tail_latency).
+    mode = FreeMode::kAmortized;
     sched = ScheduleKind::kLatency;
   }
 
@@ -123,7 +105,8 @@ ReclaimerBundle make_reclaimer(const std::string& name, const SmrContext& ctx,
   // SmrConfig::schedule ("fixed" | "adaptive", EMR_SCHEDULE) overrides
   // the suffix-derived kind inside make_free_schedule.
   bundle.schedule = make_free_schedule(sched, cfg);
-  bundle.executor = make_executor(exec, ctx, cfg, bundle.schedule.get());
+  bundle.executor = std::make_unique<FreeExecutor>(
+      ctx, cfg, bundle.schedule.get(), mode);
   bundle.executor->set_home_flush(hf);
 
   // Token family.

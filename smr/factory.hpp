@@ -3,12 +3,15 @@
 //   none | qsbr | rcu | debra | hp | he | ibr | wfe | nbr | nbrplus
 //   token_naive | token_passfirst | token
 //
-// Any base name takes an `_af` suffix (asynchronous per-op free, the
-// paper's fix), a `_pool` suffix (object pooling), an `_adaptive`
-// suffix (amortized free under the population-aware
-// AdaptiveFreeSchedule controller), or a `_latency` suffix (amortized
-// free under the tail-steered LatencyTargetFreeSchedule — see
-// docs/FREE_SCHEDULES.md and docs/LATENCY.md). `token_af` /
+// Every bundle carries one FreeExecutor; the suffix picks its FreeMode
+// and schedule. A plain name frees each fresh bag whole (FreeMode::
+// kBatch, the paper's ORIG). Any base name takes an `_af` suffix
+// (kAmortized: asynchronous per-op free, the paper's fix), a `_pool`
+// suffix (kPool: object pooling), an `_adaptive` suffix (kAmortized
+// under the population-aware AdaptiveFreeSchedule controller), or a
+// `_latency` suffix (kAmortized under the tail-steered
+// LatencyTargetFreeSchedule — see docs/FREE_SCHEDULES.md and
+// docs/LATENCY.md). `token_af` /
 // `token_pool` / `token_adaptive` / `token_latency` apply to the
 // periodic token variant. Every bundle carries the FreeSchedule policy
 // that answers its batching questions; SmrConfig::schedule

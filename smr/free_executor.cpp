@@ -1,16 +1,24 @@
-#include "smr/free_executor.hpp"
-
+// The single FreeExecutor (declared in smr/reclaimer.hpp). Every mode
+// shares one per-lane FIFO of handed-over bags and one drain routine;
+// the mode decides only whether a fresh bag skips the queue (kBatch)
+// and whether alloc_node recycles from it (kPool).
 #include <algorithm>
+#include <limits>
 
 #include "core/timing.hpp"
-#include "smr/pooling_executor.hpp"
+#include "smr/reclaimer.hpp"
 
 namespace emr::smr {
 
+namespace {
+constexpr std::size_t kAll = std::numeric_limits<std::size_t>::max();
+}  // namespace
+
 FreeExecutor::FreeExecutor(const SmrContext& ctx, const SmrConfig& cfg,
-                           FreeSchedule* schedule)
+                           FreeSchedule* schedule, FreeMode mode)
     : ctx_(ctx),
       schedule_(schedule),
+      mode_(mode),
       stats_hungry_(schedule->consumes_lane_stats()),
       tenants_(cfg.tenants < 1 ? 1 : cfg.tenants),
       multi_tenant_(tenants_ > 1),
@@ -29,17 +37,33 @@ FreeExecutor::FreeExecutor(const SmrContext& ctx, const SmrConfig& cfg,
   }
 }
 
-FreeExecutor::LaneState& FreeExecutor::lane_state(int lane) {
-  const std::size_t i = static_cast<std::size_t>(lane);
-  return lanes_[i < lanes_.size() ? i : 0];
-}
-
-const FreeExecutor::LaneState& FreeExecutor::lane_state(int lane) const {
-  const std::size_t i = static_cast<std::size_t>(lane);
-  return lanes_[i < lanes_.size() ? i : 0];
-}
-
 void* FreeExecutor::alloc_node(int lane, std::size_t size) {
+  if (mode_ == FreeMode::kPool) {
+    // Trials use one node size; recycle only for that size and fall
+    // back to the allocator for anything else.
+    LaneState& l = lane_at(lane);
+    std::size_t expected = 0;
+    common_size_.compare_exchange_strong(expected, size,
+                                         std::memory_order_relaxed);
+    if (size == common_size_.load(std::memory_order_relaxed) &&
+        l.backlog.load(std::memory_order_relaxed) != 0) {
+      void* p = nullptr;
+      {
+        const auto lock = lock_lane(l);
+        const std::uint64_t held = l.backlog.load(std::memory_order_relaxed);
+        if (held != 0) {
+          p = pop_node(lane, l);
+          l.backlog.store(held - 1, std::memory_order_relaxed);
+        }
+      }
+      if (p != nullptr) {
+        pooled_allocs_.fetch_add(1, std::memory_order_relaxed);
+        freed_.fetch_add(1, std::memory_order_relaxed);  // left via reuse
+        l.drained.fetch_add(1, std::memory_order_relaxed);
+        return p;
+      }
+    }
+  }
   // Every node must have room for the reclaimer-owned intrusive header,
   // and the header must never be indeterminate: schemes that don't stamp
   // birth eras would otherwise hand make_node() uninitialized bytes.
@@ -49,30 +73,127 @@ void* FreeExecutor::alloc_node(int lane, std::size_t size) {
   return p;
 }
 
-void FreeExecutor::timed_free_as(int stats_lane, int alloc_lane, void* p) {
-  Timeline* tl = ctx_.timeline;
-  if (tl != nullptr && tl->enabled()) {
-    const std::uint64_t t0 = now_ns();
-    ctx_.allocator->deallocate(alloc_lane, p);
-    tl->record(alloc_lane, EventKind::kFreeCall, t0, now_ns());
-  } else {
-    ctx_.allocator->deallocate(alloc_lane, p);
+void FreeExecutor::hand_over(int lane, bool adopted,
+                             std::vector<void*>&& bag) {
+  if (bag.empty()) return;
+  LaneState& l = lane_at(lane);
+  const std::uint64_t n = bag.size();
+  l.enqueued.fetch_add(n, std::memory_order_relaxed);
+  if (adopted) l.adopted_total.fetch_add(n, std::memory_order_relaxed);
+  const std::uint32_t tenant = lane_tenant(lane);
+  note_tenant(tenant_enqueued_, lane, tenant, n);
+  if (mode_ == FreeMode::kBatch && !adopted) {
+    // The whole bag is freed on the spot: it enters and leaves the
+    // tenant's books in one step.
+    note_tenant(tenant_drained_, lane, tenant, n);
+    Timeline* tl = ctx_.timeline;
+    const bool instrumented = tl != nullptr && tl->enabled();
+    const std::uint64_t t0 = instrumented ? now_ns() : 0;
+    for (void* p : bag) routed_free(lane, lane, p);
+    if (instrumented) tl->record(lane, EventKind::kBatchFree, t0, now_ns());
+    return;
   }
-  freed_.fetch_add(1, std::memory_order_relaxed);
-  lane_state(stats_lane).drained.fetch_add(1, std::memory_order_relaxed);
+  const auto lock = lock_lane(l);
+  l.bags.push_back(QueuedBag{std::move(bag), 0, tenant});
+  l.backlog.store(l.backlog.load(std::memory_order_relaxed) + n,
+                  std::memory_order_relaxed);
 }
 
-void FreeExecutor::timed_hint_free(int stats_lane, int alloc_lane, void* p) {
+void* FreeExecutor::pop_node(int lane, LaneState& l) {
+  QueuedBag& b = l.bags.front();
+  void* p = b.nodes[b.next++];
+  note_tenant(tenant_drained_, lane, b.tenant, 1);
+  if (b.next == b.nodes.size()) l.bags.pop_front();
+  return p;
+}
+
+std::size_t FreeExecutor::drain(int lane, std::size_t quota,
+                                std::size_t floor, int alloc_lane,
+                                bool route) {
+  LaneState& l = lane_at(lane);
+  if (quota == 0 || l.backlog.load(std::memory_order_relaxed) <= floor) {
+    return 0;
+  }
+  const auto lock = lock_lane(l);
+  const std::uint64_t held = l.backlog.load(std::memory_order_relaxed);
+  if (held <= floor) return 0;
+  const std::size_t n =
+      static_cast<std::size_t>(std::min<std::uint64_t>(quota, held - floor));
+  for (std::size_t i = 0; i < n; ++i) {
+    void* p = pop_node(lane, l);
+    if (route) {
+      routed_free(lane, alloc_lane, p);
+    } else {
+      free_node(lane, alloc_lane, p);
+    }
+  }
+  l.backlog.store(held - n, std::memory_order_relaxed);
+  return n;
+}
+
+void FreeExecutor::on_op_end(int lane) {
+  LaneState& l = lane_at(lane);
+  l.ops.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t floor = queue_floor();
+  if (l.backlog.load(std::memory_order_relaxed) > floor) {
+    const std::size_t quota = schedule_->drain_quota(quota_stats(lane));
+    const std::uint64_t t0 = stats_hungry_ ? now_ns() : 0;
+    note_drain_time(l, t0, drain(lane, quota, floor, lane, /*route=*/true));
+  }
+  maybe_flush_stash(lane);
+}
+
+void FreeExecutor::quiesce(int lane) {
+  // Latch routing off for the rest of the teardown pass: the schemes'
+  // flush_all loops interleave hand-over and quiesce per lane, and a
+  // post-quiesce hand-over must not scatter blocks into stashes that
+  // were already drained. Pre-latch pushes are safe — every lane's
+  // quiesce drains its own stash below, and flush_all visits them all.
+  teardown_.store(true, std::memory_order_relaxed);
+  drain(lane, kAll, 0, lane, /*route=*/false);
+  if (home_flush_) {
+    while (drain_stash(lane, kAll, lane) != 0) {
+    }
+  }
+}
+
+std::size_t FreeExecutor::daemon_drain(int lane, std::size_t quota,
+                                       int daemon_lane) {
+  std::size_t n =
+      drain(lane, quota, queue_floor(), daemon_lane, /*route=*/false);
+  // Orphan/idle stash coverage: when routing is armed, the remaining
+  // quota flushes this lane's stash from the daemon — the path that
+  // keeps departed or idle lanes from stranding stashed blocks. The
+  // frees go through free_local_hint (remote attribution stays exact;
+  // the per-block penalty was amortized by the batch hand-off).
+  if (home_flush_ && n < quota) {
+    n += drain_stash(lane, quota - n, daemon_lane);
+  }
+  return n;
+}
+
+void FreeExecutor::note_drain_time(LaneState& l, std::uint64_t t0,
+                                   std::size_t n) {
+  if (!stats_hungry_) return;
+  l.drain_ns.fetch_add(now_ns() - t0, std::memory_order_relaxed);
+  l.timed_drained.fetch_add(n, std::memory_order_relaxed);
+}
+
+void FreeExecutor::free_node(int stats_lane, int alloc_lane, void* p,
+                             bool local_hint) {
   Timeline* tl = ctx_.timeline;
-  if (tl != nullptr && tl->enabled()) {
-    const std::uint64_t t0 = now_ns();
+  const bool instrumented = tl != nullptr && tl->enabled();
+  const std::uint64_t t0 = instrumented ? now_ns() : 0;
+  if (local_hint) {
     ctx_.allocator->free_local_hint(alloc_lane, p);
-    tl->record(alloc_lane, EventKind::kFreeCall, t0, now_ns());
   } else {
-    ctx_.allocator->free_local_hint(alloc_lane, p);
+    ctx_.allocator->deallocate(alloc_lane, p);
+  }
+  if (instrumented) {
+    tl->record(alloc_lane, EventKind::kFreeCall, t0, now_ns());
   }
   freed_.fetch_add(1, std::memory_order_relaxed);
-  lane_state(stats_lane).drained.fetch_add(1, std::memory_order_relaxed);
+  lane_at(stats_lane).drained.fetch_add(1, std::memory_order_relaxed);
 }
 
 void FreeExecutor::routed_free(int stats_lane, int alloc_lane, void* p) {
@@ -84,11 +205,11 @@ void FreeExecutor::routed_free(int stats_lane, int alloc_lane, void* p) {
       return;
     }
   }
-  timed_free_as(stats_lane, alloc_lane, p);
+  free_node(stats_lane, alloc_lane, p);
 }
 
 void FreeExecutor::stash_push(int stats_lane, int home, void* p) {
-  lane_state(stats_lane).stashed.fetch_add(1, std::memory_order_relaxed);
+  lane_at(stats_lane).stashed.fetch_add(1, std::memory_order_relaxed);
   RemoteStash& s = stash_[static_cast<std::size_t>(home)];
   // Gauge up *before* the node publishes: a drainer can only decrement
   // after its acquire-exchange observed this push's release-CAS, which
@@ -106,16 +227,15 @@ void FreeExecutor::stash_push(int stats_lane, int home, void* p) {
 
 std::size_t FreeExecutor::drain_stash(int lane, std::size_t quota,
                                       int alloc_lane) {
-  const std::size_t i = static_cast<std::size_t>(lane);
-  RemoteStash& s = stash_[i < stash_.size() ? i : 0];
+  RemoteStash& s = stash_[static_cast<std::size_t>(lane)];
   if (quota == 0 || s.backlog.load(std::memory_order_relaxed) == 0) {
     return 0;
   }
-  LaneState& l = lane_state(lane);
+  LaneState& l = lane_at(lane);
   const std::uint64_t t0 = stats_hungry_ ? now_ns() : 0;
   std::size_t n = 0;
   {
-    LaneLock lock(l, daemon_hooked_);
+    const auto lock = lock_lane(l);
     while (n < quota) {
       if (l.stash_chain == nullptr) {
         // Grab the whole Treiber stack in one exchange; the remainder
@@ -125,16 +245,13 @@ std::size_t FreeExecutor::drain_stash(int lane, std::size_t quota,
       }
       void* p = l.stash_chain;
       l.stash_chain = *static_cast<void**>(p);
-      timed_hint_free(lane, alloc_lane, p);
+      free_node(lane, alloc_lane, p, /*local_hint=*/true);
       s.flushed.fetch_add(1, std::memory_order_relaxed);
       s.backlog.fetch_sub(1, std::memory_order_relaxed);
       ++n;
     }
   }
-  if (stats_hungry_) {
-    l.drain_ns.fetch_add(now_ns() - t0, std::memory_order_relaxed);
-    l.timed_drained.fetch_add(n, std::memory_order_relaxed);
-  }
+  note_drain_time(l, t0, n);
   return n;
 }
 
@@ -145,25 +262,20 @@ void FreeExecutor::maybe_flush_stash(int lane) {
     // bundle is live again, so re-arm.
     teardown_.store(false, std::memory_order_relaxed);
   }
-  const std::size_t i = static_cast<std::size_t>(lane);
-  if (stash_[i < stash_.size() ? i : 0].backlog.load(
+  if (stash_[static_cast<std::size_t>(lane)].backlog.load(
           std::memory_order_relaxed) == 0) {
     return;
   }
-  const std::size_t quota =
-      stats_hungry_ ? schedule_->flush_quota(lane_stats(lane))
-                    : schedule_->flush_quota(LaneStats{});
-  drain_stash(lane, quota, lane);
+  drain_stash(lane, schedule_->flush_quota(quota_stats(lane)), lane);
 }
 
 void FreeExecutor::on_lane_released(int lane) {
   if (!home_flush_) return;
-  const std::size_t i = static_cast<std::size_t>(lane);
-  RemoteStash& s = stash_[i < stash_.size() ? i : 0];
-  LaneState& l = lane_state(lane);
+  RemoteStash& s = stash_[static_cast<std::size_t>(lane)];
+  LaneState& l = lane_at(lane);
   std::vector<void*> bag;
   {
-    LaneLock lock(l, daemon_hooked_);
+    const auto lock = lock_lane(l);
     void* p = l.stash_chain;
     l.stash_chain = nullptr;
     while (p != nullptr) {
@@ -177,162 +289,17 @@ void FreeExecutor::on_lane_released(int lane) {
     }
   }
   if (bag.empty()) return;
-  // The blocks leave the stash (counted flushed) and re-enter through
-  // the churn-aware adoption path, so the successor — or the daemon, or
-  // flush_all — drains them at the usual quota instead of in a burst.
+  // The blocks leave the stash (counted flushed) and re-enter as an
+  // adopted bag, so the successor — or the daemon, or flush_all —
+  // drains them at the usual quota instead of in a burst.
   s.flushed.fetch_add(bag.size(), std::memory_order_relaxed);
   s.backlog.fetch_sub(bag.size(), std::memory_order_relaxed);
-  on_adopted(lane, std::move(bag));
-}
-
-std::uint64_t FreeExecutor::total_stashed() const {
-  std::uint64_t t = 0;
-  for (const LaneState& l : lanes_) {
-    t += l.stashed.load(std::memory_order_relaxed);
-  }
-  return t;
-}
-
-std::uint64_t FreeExecutor::total_flushed() const {
-  std::uint64_t t = 0;
-  for (const RemoteStash& s : stash_) {
-    t += s.flushed.load(std::memory_order_relaxed);
-  }
-  return t;
-}
-
-std::uint64_t FreeExecutor::total_stash_backlog() const {
-  std::uint64_t t = 0;
-  for (const RemoteStash& s : stash_) {
-    t += s.backlog.load(std::memory_order_relaxed);
-  }
-  return t;
-}
-
-void FreeExecutor::on_adopted(int lane, std::vector<void*>&& bag) {
-  if (bag.empty()) return;
-  LaneState& l = lane_state(lane);
-  l.enqueued.fetch_add(bag.size(), std::memory_order_relaxed);
-  l.adopted_total.fetch_add(bag.size(), std::memory_order_relaxed);
-  const std::uint32_t tenant = lane_tenant(lane);
-  note_tenant_enqueued(lane, tenant, bag.size());
-  LaneLock lock(l, daemon_hooked_);
-  for (void* p : bag) l.adopted.push_back(p);
-  if (multi_tenant_) {
-    l.adopted_tags.insert(l.adopted_tags.end(), bag.size(), tenant);
-  }
-  l.adopted_backlog.store(l.adopted.size(), std::memory_order_relaxed);
-}
-
-std::size_t FreeExecutor::drain_adopted(int lane, std::size_t quota) {
-  LaneState& l = lane_state(lane);
-  if (quota == 0 ||
-      l.adopted_backlog.load(std::memory_order_relaxed) == 0) {
-    return 0;
-  }
-  const std::uint64_t t0 = stats_hungry_ ? now_ns() : 0;
-  std::size_t n = 0;
-  {
-    LaneLock lock(l, daemon_hooked_);
-    while (n < quota && !l.adopted.empty()) {
-      void* p = l.adopted.front();
-      l.adopted.pop_front();
-      if (multi_tenant_) {
-        note_tenant_drained(lane, l.adopted_tags.front(), 1);
-        l.adopted_tags.pop_front();
-      }
-      routed_free(lane, lane, p);
-      ++n;
-    }
-    l.adopted_backlog.store(l.adopted.size(), std::memory_order_relaxed);
-  }
-  if (stats_hungry_) {
-    l.drain_ns.fetch_add(now_ns() - t0, std::memory_order_relaxed);
-    l.timed_drained.fetch_add(n, std::memory_order_relaxed);
-  }
-  return n;
-}
-
-void FreeExecutor::on_op_end(int lane) {
-  LaneState& l = lane_state(lane);
-  l.ops.fetch_add(1, std::memory_order_relaxed);
-  if (l.adopted_backlog.load(std::memory_order_relaxed) != 0) {
-    drain_adopted(lane, drain_quota_for(lane));
-  }
-  maybe_flush_stash(lane);
-}
-
-void FreeExecutor::quiesce(int lane) {
-  // Latch routing off for the rest of the teardown pass: the schemes'
-  // flush_all loops interleave hand-over and quiesce per lane, and a
-  // post-quiesce hand-over must not scatter blocks into stashes that
-  // were already drained. Pre-latch pushes are safe — every lane's
-  // quiesce drains its own stash below, and flush_all visits them all.
-  teardown_.store(true, std::memory_order_relaxed);
-  LaneState& l = lane_state(lane);
-  {
-    LaneLock lock(l, daemon_hooked_);
-    while (!l.adopted.empty()) {
-      void* p = l.adopted.front();
-      l.adopted.pop_front();
-      if (multi_tenant_) {
-        note_tenant_drained(lane, l.adopted_tags.front(), 1);
-        l.adopted_tags.pop_front();
-      }
-      timed_free(lane, p);
-    }
-    l.adopted_backlog.store(0, std::memory_order_relaxed);
-  }
-  if (home_flush_) {
-    while (drain_stash(lane, ~std::size_t{0}, lane) != 0) {
-    }
-  }
-}
-
-std::size_t FreeExecutor::daemon_drain(int lane, std::size_t quota,
-                                       int daemon_lane) {
-  LaneState& l = lane_state(lane);
-  std::size_t n = 0;
-  if (quota != 0 &&
-      l.adopted_backlog.load(std::memory_order_relaxed) != 0) {
-    LaneLock lock(l, true);
-    while (n < quota && !l.adopted.empty()) {
-      void* p = l.adopted.front();
-      l.adopted.pop_front();
-      if (multi_tenant_) {
-        note_tenant_drained(lane, l.adopted_tags.front(), 1);
-        l.adopted_tags.pop_front();
-      }
-      timed_free_as(lane, daemon_lane, p);
-      ++n;
-    }
-    l.adopted_backlog.store(l.adopted.size(), std::memory_order_relaxed);
-  }
-  // Orphan/idle stash coverage: when routing is armed, the remaining
-  // quota flushes this lane's stash from the daemon — the path that
-  // keeps departed or idle lanes from stranding stashed blocks. The
-  // frees go through free_local_hint (remote attribution stays exact;
-  // the per-block penalty was amortized by the batch hand-off).
-  if (home_flush_ && n < quota) {
-    n += drain_stash(lane, quota - n, daemon_lane);
-  }
-  return n;
-}
-
-std::uint64_t FreeExecutor::backlog() const {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    total += lanes_[i].adopted_backlog.load(std::memory_order_relaxed);
-    total += lane_backlog(static_cast<int>(i));
-    total += stash_[i].backlog.load(std::memory_order_relaxed);
-  }
-  return total;
+  hand_over(lane, /*adopted=*/true, std::move(bag));
 }
 
 LaneStats FreeExecutor::lane_stats(int lane) const {
-  const LaneState& l = lane_state(lane);
-  const std::size_t i = static_cast<std::size_t>(lane);
-  const RemoteStash& st = stash_[i < stash_.size() ? i : 0];
+  const LaneState& l = lane_at(lane);
+  const RemoteStash& st = stash_[static_cast<std::size_t>(lane)];
   LaneStats s;
   s.ops = l.ops.load(std::memory_order_relaxed);
   // Mid-trial snapshots are unsynchronized by design (one relaxed load
@@ -350,8 +317,7 @@ LaneStats FreeExecutor::lane_stats(int lane) const {
   s.flushed = st.flushed.load(std::memory_order_relaxed);
   s.stashed = l.stashed.load(std::memory_order_relaxed);
   s.stash_backlog = st.backlog.load(std::memory_order_relaxed);
-  s.backlog = l.adopted_backlog.load(std::memory_order_relaxed) +
-              lane_backlog(lane) + s.stash_backlog;
+  s.backlog = l.backlog.load(std::memory_order_relaxed) + s.stash_backlog;
   s.drain_ns = l.drain_ns.load(std::memory_order_relaxed);
   s.timed_drained = l.timed_drained.load(std::memory_order_relaxed);
   if (multi_tenant_) {
@@ -385,203 +351,6 @@ TenantStats FreeExecutor::tenant_stats(int tenant) const {
   }
   out.backlog = out.enqueued > out.drained ? out.enqueued - out.drained : 0;
   return out;
-}
-
-// ---------------------------------------------------------------- batch
-
-void BatchFreeExecutor::on_reclaimable(int lane, std::vector<void*>&& bag) {
-  if (bag.empty()) return;
-  lane_state(lane).enqueued.fetch_add(bag.size(),
-                                      std::memory_order_relaxed);
-  if (multi_tenant_) {
-    // The whole bag is freed on the spot: it enters and leaves the
-    // tenant's books in one step (bag-granularity attribution to the
-    // lane's current tenant, like every executor hand-over).
-    const std::uint32_t tenant = lane_tenant(lane);
-    note_tenant_enqueued(lane, tenant, bag.size());
-    note_tenant_drained(lane, tenant, bag.size());
-  }
-  Timeline* tl = ctx_.timeline;
-  const bool instrumented = tl != nullptr && tl->enabled();
-  const std::uint64_t t0 = instrumented ? now_ns() : 0;
-  for (void* p : bag) routed_free(lane, lane, p);
-  if (instrumented) tl->record(lane, EventKind::kBatchFree, t0, now_ns());
-}
-
-// ------------------------------------------------------------ amortized
-
-AmortizedFreeExecutor::AmortizedFreeExecutor(const SmrContext& ctx,
-                                             const SmrConfig& cfg,
-                                             FreeSchedule* schedule)
-    : FreeExecutor(ctx, cfg, schedule), freeable_(cfg.slot_capacity()) {}
-
-AmortizedFreeExecutor::Freeable& AmortizedFreeExecutor::lane(int lane_idx) {
-  const std::size_t i = static_cast<std::size_t>(lane_idx);
-  return freeable_[i < freeable_.size() ? i : 0];
-}
-
-void AmortizedFreeExecutor::on_reclaimable(int lane_idx,
-                                           std::vector<void*>&& bag) {
-  LaneState& l = lane_state(lane_idx);
-  l.enqueued.fetch_add(bag.size(), std::memory_order_relaxed);
-  const std::uint32_t tenant = lane_tenant(lane_idx);
-  note_tenant_enqueued(lane_idx, tenant, bag.size());
-  Freeable& f = lane(lane_idx);
-  LaneLock lock(l, daemon_hooked_);
-  for (void* p : bag) f.nodes.push_back(p);
-  if (multi_tenant_) {
-    f.tags.insert(f.tags.end(), bag.size(), tenant);
-  }
-  f.size.store(f.nodes.size(), std::memory_order_relaxed);
-}
-
-void AmortizedFreeExecutor::on_adopted(int lane_idx,
-                                       std::vector<void*>&& bag) {
-  // The freeable list already drains at the schedule's quota per op, so
-  // adoption folds straight into it — same amortization, no second
-  // queue.
-  lane_state(lane_idx).adopted_total.fetch_add(bag.size(),
-                                               std::memory_order_relaxed);
-  on_reclaimable(lane_idx, std::move(bag));
-}
-
-std::size_t AmortizedFreeExecutor::drain_freeable(int lane_idx,
-                                                  std::size_t quota,
-                                                  std::size_t floor) {
-  Freeable& f = lane(lane_idx);
-  if (quota == 0 || f.size.load(std::memory_order_relaxed) <= floor) {
-    return 0;
-  }
-  LaneState& l = lane_state(lane_idx);
-  const std::uint64_t t0 = stats_hungry_ ? now_ns() : 0;
-  std::size_t n = 0;
-  {
-    LaneLock lock(l, daemon_hooked_);
-    while (n < quota && f.nodes.size() > floor) {
-      void* p = f.nodes.front();
-      f.nodes.pop_front();
-      if (multi_tenant_) {
-        note_tenant_drained(lane_idx, f.tags.front(), 1);
-        f.tags.pop_front();
-      }
-      routed_free(lane_idx, lane_idx, p);
-      ++n;
-    }
-    f.size.store(f.nodes.size(), std::memory_order_relaxed);
-  }
-  if (stats_hungry_) {
-    l.drain_ns.fetch_add(now_ns() - t0, std::memory_order_relaxed);
-    l.timed_drained.fetch_add(n, std::memory_order_relaxed);
-  }
-  return n;
-}
-
-void AmortizedFreeExecutor::on_op_end(int lane_idx) {
-  LaneState& l = lane_state(lane_idx);
-  l.ops.fetch_add(1, std::memory_order_relaxed);
-  // One quota bounds the whole op end: the (rare) adoption queue first,
-  // then the freeable backlog takes whatever is left.
-  const std::size_t quota = drain_quota_for(lane_idx);
-  const std::size_t used = drain_adopted(lane_idx, quota);
-  drain_freeable(lane_idx, quota - used, 0);
-  maybe_flush_stash(lane_idx);
-}
-
-void AmortizedFreeExecutor::quiesce(int lane_idx) {
-  FreeExecutor::quiesce(lane_idx);
-  Freeable& f = lane(lane_idx);
-  LaneLock lock(lane_state(lane_idx), daemon_hooked_);
-  while (!f.nodes.empty()) {
-    void* p = f.nodes.front();
-    f.nodes.pop_front();
-    if (multi_tenant_) {
-      note_tenant_drained(lane_idx, f.tags.front(), 1);
-      f.tags.pop_front();
-    }
-    timed_free(lane_idx, p);
-  }
-  f.size.store(0, std::memory_order_relaxed);
-}
-
-std::size_t AmortizedFreeExecutor::daemon_drain(int lane_idx,
-                                                std::size_t quota,
-                                                int daemon_lane) {
-  // The adoption queue first (base behaviour), then the freeable
-  // backlog — two separate critical sections so the lane owner can
-  // interleave. Pool inventory under daemon_floor() stays put.
-  std::size_t n = FreeExecutor::daemon_drain(lane_idx, quota, daemon_lane);
-  Freeable& f = lane(lane_idx);
-  const std::size_t floor = daemon_floor();
-  if (n >= quota || f.size.load(std::memory_order_relaxed) <= floor) {
-    return n;
-  }
-  LaneLock lock(lane_state(lane_idx), true);
-  while (n < quota && f.nodes.size() > floor) {
-    void* p = f.nodes.front();
-    f.nodes.pop_front();
-    if (multi_tenant_) {
-      note_tenant_drained(lane_idx, f.tags.front(), 1);
-      f.tags.pop_front();
-    }
-    timed_free_as(lane_idx, daemon_lane, p);
-    ++n;
-  }
-  f.size.store(f.nodes.size(), std::memory_order_relaxed);
-  return n;
-}
-
-std::uint64_t AmortizedFreeExecutor::lane_backlog(int lane_idx) const {
-  const std::size_t i = static_cast<std::size_t>(lane_idx);
-  return freeable_[i < freeable_.size() ? i : 0].size.load(
-      std::memory_order_relaxed);
-}
-
-// -------------------------------------------------------------- pooling
-
-PoolingFreeExecutor::PoolingFreeExecutor(const SmrContext& ctx,
-                                         const SmrConfig& cfg,
-                                         FreeSchedule* schedule)
-    : AmortizedFreeExecutor(ctx, cfg, schedule) {}
-
-void* PoolingFreeExecutor::alloc_node(int lane_idx, std::size_t size) {
-  // Trials use one node size; recycle only for that size and fall back to
-  // the allocator for anything else.
-  std::size_t expected = 0;
-  common_size_.compare_exchange_strong(expected, size,
-                                       std::memory_order_relaxed);
-  Freeable& f = lane(lane_idx);
-  if (size == common_size_.load(std::memory_order_relaxed) &&
-      f.size.load(std::memory_order_relaxed) != 0) {
-    LaneLock lock(lane_state(lane_idx), daemon_hooked_);
-    if (!f.nodes.empty()) {
-      void* p = f.nodes.front();
-      f.nodes.pop_front();
-      if (multi_tenant_) {
-        note_tenant_drained(lane_idx, f.tags.front(), 1);
-        f.tags.pop_front();
-      }
-      f.size.store(f.nodes.size(), std::memory_order_relaxed);
-      pooled_allocs_.fetch_add(1, std::memory_order_relaxed);
-      freed_.fetch_add(1, std::memory_order_relaxed);  // left limbo via reuse
-      lane_state(lane_idx).drained.fetch_add(1, std::memory_order_relaxed);
-      return p;
-    }
-  }
-  void* p =
-      ctx_.allocator->allocate(lane_idx, std::max(size, sizeof(NodeHeader)));
-  static_cast<NodeHeader*>(p)->birth_era = 0;
-  return p;
-}
-
-void PoolingFreeExecutor::on_op_end(int lane_idx) {
-  LaneState& l = lane_state(lane_idx);
-  l.ops.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t quota = drain_quota_for(lane_idx);
-  const std::size_t used = drain_adopted(lane_idx, quota);
-  // The backlog is inventory: trim only the excess over the schedule's
-  // pool cap, inside the same per-op quota.
-  drain_freeable(lane_idx, quota - used, schedule_->pool_cap());
-  maybe_flush_stash(lane_idx);
 }
 
 }  // namespace emr::smr

@@ -29,7 +29,7 @@ std::size_t auto_pool_cap(const SmrConfig& cfg) {
 }  // namespace
 
 FixedFreeSchedule::FixedFreeSchedule(const SmrConfig& cfg)
-    : drain_(std::max<std::size_t>(cfg.af_drain_per_op, 1)),
+    : drain_(cfg.af_drain_per_op),
       batch_(cfg.batch_size),
       pool_cap_(auto_pool_cap(cfg)),
       flush_batch_(cfg.flush_batch) {}
@@ -138,6 +138,10 @@ std::unique_ptr<FreeSchedule> make_free_schedule(ScheduleKind kind,
   if (cfg.batch_size == 0) {
     throw std::invalid_argument(
         "invalid SmrConfig::batch_size: 0 (EMR_BATCH must be >= 1)");
+  }
+  if (cfg.af_drain_per_op == 0) {
+    throw std::invalid_argument(
+        "invalid SmrConfig::af_drain_per_op: 0 (EMR_AF_DRAIN must be >= 1)");
   }
   if (cfg.flush_batch == 0) {
     throw std::invalid_argument(

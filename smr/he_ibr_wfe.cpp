@@ -26,7 +26,7 @@
 // Churn: a departing handle clears every reservation it published (its
 // eras/interval/open floor can never pin reclamation again) and runs a
 // departure scan whose freeable part drains through the executor's
-// on_adopted() path — at the FreeSchedule quota per op — instead of one
+// adopted hand-over — at the FreeSchedule quota per op — instead of one
 // batch free; retires a live reservation still covers park in the slot
 // for the next owner (or flush_all).
 //
@@ -223,7 +223,7 @@ class EraReclaimer final : public Reclaimer {
         for (const RetiredNode& n : t.retired) bag.push_back(n.p);
         t.retired.clear();
         t.scan_at = threshold;
-        executor_->on_reclaimable(tid, std::move(bag));
+        executor_->hand_over(tid, /*adopted=*/false, std::move(bag));
       }
       executor_->quiesce(tid);
     }

@@ -11,8 +11,8 @@
 //
 // Churn: a departing handle nulls its hazard slots (nothing it ever
 // protected stays pinned) and runs one departure scan over its retire
-// list whose freeable part drains through the executor's on_adopted()
-// path — at the FreeSchedule quota per op — instead of one batch free;
+// list whose freeable part drains through the executor's adopted
+// hand-over — at the FreeSchedule quota per op — instead of one batch free;
 // survivors still hazarded by other threads park in the slot for the
 // next owner's scans (or flush_all).
 //
@@ -75,7 +75,7 @@ class HpReclaimer final : public Reclaimer {
       HpThread& t = threads_[i];
       const int lane = static_cast<int>(i);
       if (!t.retired.empty()) {
-        executor_->on_reclaimable(lane, std::move(t.retired));
+        executor_->hand_over(lane, /*adopted=*/false, std::move(t.retired));
         t.retired = {};
         t.scan_at = threshold;
       }

@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "core/timing.hpp"
-#include "smr/free_executor.hpp"
 #include "smr/reclaimer.hpp"
 
 namespace emr::smr::internal {

@@ -34,7 +34,7 @@
 //
 // Churn: a departing handle drops its announcement (a vacated slot never
 // blocks grace) and runs a departure scan whose freeable part drains
-// through the executor's on_adopted() path — at the FreeSchedule quota
+// through the executor's adopted hand-over — at the FreeSchedule quota
 // per op — instead of one batch free; neutralize_all already skips
 // slots with no announcement, so vacant slots are never "signalled".
 //
@@ -175,7 +175,7 @@ class NbrReclaimer final : public Reclaimer {
         for (const RetiredNode& n : t.retired) bag.push_back(n.p);
         t.retired.clear();
         t.scan_at = scan_threshold();
-        executor_->on_reclaimable(tid, std::move(bag));
+        executor_->hand_over(tid, /*adopted=*/false, std::move(bag));
       }
       executor_->quiesce(tid);
     }

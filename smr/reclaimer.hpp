@@ -22,6 +22,7 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -56,9 +57,11 @@ struct SmrConfig {
   /// is attempted (the paper's batch size; Experiment 2 uses 32768). The
   /// pointer-protecting schemes use the same value as their retire-list
   /// scan threshold, so EMR_BATCH drives every family's batching.
+  /// Must be >= 1.
   std::size_t batch_size = 2048;
   /// Asynchronous-free drain rate: reclaimable objects freed per
   /// operation by the _af variants (section 7 prescribes ~frees/op).
+  /// Must be >= 1. EMR_AF_DRAIN.
   std::size_t af_drain_per_op = 1;
   /// Per-thread protection slots for the hazard-class schemes (hp, he,
   /// wfe). Michael's HP calls this K; protect()'s `idx` is taken mod
@@ -162,7 +165,7 @@ struct LaneStats {
   /// blocks this lane diverted into some owner's stash instead of
   /// freeing them foreign; `flushed` counts blocks that left *this*
   /// lane's stash (flushed locally by the owner, drained by the
-  /// daemon, or folded into the adoption queue when the lane
+  /// daemon, or handed to the lane's bag queue when the lane
   /// departed); `stash_backlog` is the gauge of blocks currently
   /// sitting in this lane's stash (also folded into `backlog`).
   std::uint64_t stashed = 0;
@@ -192,9 +195,9 @@ struct TenantStats {
 
 /// Free-schedule policy: every batching decision in the retire->free
 /// pipeline is answered here instead of by raw SmrConfig constants —
-/// how many backlog nodes an amortizing executor frees at one op end,
+/// how many queued nodes the executor frees at one op end,
 /// how large a limbo bag / retire list may grow before it seals or
-/// scans, and how much inventory the pooling executor keeps. Executors
+/// scans, and how much inventory a kPool executor keeps. Executors
 /// and scheme TUs *ask* the policy; only the policy implementations
 /// (smr/free_schedule.cpp) read the config's batching knobs. See
 /// docs/FREE_SCHEDULES.md for the contract and the shipped policies
@@ -210,7 +213,7 @@ class FreeSchedule {
   virtual const char* name() const = 0;
 
   /// Nodes an amortizing drain may free at one op end on this lane.
-  /// Executors treat the result as a hard per-op ceiling.
+  /// The executor treats the result as a hard per-op ceiling.
   virtual std::size_t drain_quota(const LaneStats& lane) const = 0;
 
   /// Bag size that seals a limbo bag (epoch/token families) or retire
@@ -219,7 +222,7 @@ class FreeSchedule {
   /// result (hp applies Michael's H+1 bound) but never exceed it.
   virtual std::size_t scan_threshold(std::size_t population) const = 0;
 
-  /// The pooling executor's per-lane inventory cap.
+  /// A kPool executor's per-lane inventory cap.
   virtual std::size_t pool_cap() const = 0;
 
   /// Population beat: the number of live ThreadHandles, pushed by the
@@ -242,7 +245,7 @@ class FreeSchedule {
   virtual bool wants_latency_feedback() const { return false; }
 
   /// Whether drain_quota() actually reads its LaneStats argument.
-  /// Policies with a constant quantum return false so executors can
+  /// Policies with a constant quantum return false so the executor can
   /// skip the per-op stats snapshot and the drain-cost clock reads on
   /// the hot path (drain_ns then stays zero).
   virtual bool consumes_lane_stats() const { return true; }
@@ -287,43 +290,59 @@ struct SmrStats {
   std::vector<LaneStats> lanes;
 };
 
-/// Free-schedule executor base: the reclaimer hands bags of
-/// safe-to-reclaim nodes here, and the executor turns them into
-/// allocator traffic (see smr/free_executor.hpp for the batch, amortized,
-/// and pooling implementations). *When* and *how much* to free is not
-/// the executor's call: every quantum comes from the FreeSchedule
-/// policy it is constructed over.
+/// How the executor turns safe bags into allocator traffic — the one
+/// decision the paper varies. The factory picks it from the name suffix.
+///   kBatch     - plain names: a fresh bag is freed whole at hand-over
+///                (the classical EBR behaviour the paper shows is
+///                harmful).
+///   kAmortized - _af/_adaptive/_latency: every bag is queued and each
+///                op end frees at most the schedule's drain quota (the
+///                paper's asynchronous-free fix).
+///   kPool      - _pool: queued like kAmortized, but alloc_node recycles
+///                from the queue first (section 3.3 pooling) and the op
+///                end only trims what exceeds the schedule's pool cap.
+enum class FreeMode { kBatch, kAmortized, kPool };
+
+/// The free executor: the reclaimer hands bags of safe-to-reclaim nodes
+/// here, and the executor turns them into allocator traffic according
+/// to its FreeMode. *How much* to free at a time is not the executor's
+/// call: every quantum comes from the FreeSchedule policy it is
+/// constructed over.
+///
+/// Each lane keeps one FIFO of handed-over bags. A bag is queued whole
+/// (the vector moves in, no per-node copy) with a read cursor and the
+/// tenant tag of its hand-over; op-end drains, the daemon, quiesce and
+/// pool recycling all pop from its front.
 ///
 /// Executors do not see thread identity at all: every entry point takes
 /// the registration-slot `lane` the owning reclaimer derived from the
-/// calling ThreadHandle. A lane changes hands when a slot is recycled —
-/// the successor thread inherits (and keeps amortizing) whatever backlog
-/// its predecessor's handle left behind.
+/// calling ThreadHandle (always below SmrConfig::slot_capacity()). A
+/// lane changes hands when a slot is recycled — the successor thread
+/// inherits (and keeps amortizing) whatever backlog its predecessor's
+/// handle left behind.
 ///
 /// Contract:
-///  - Ownership of every pointer in an on_reclaimable() bag transfers to
-///    the executor; the reclaimer must never touch it again. Each such
+///  - Ownership of every pointer in a hand_over() bag transfers to the
+///    executor; the reclaimer must never touch it again. Each such
 ///    pointer is released exactly once — either by a single
-///    allocator->deallocate() (counted into total_freed() by timed_free)
-///    or, for the pooling executor, by being handed back out of
-///    alloc_node() (also counted: recycling is how the node leaves
-///    limbo).
-///  - A node handed over is safe to reclaim *now*; executors may delay
-///    the actual free arbitrarily (delaying is always safe) but may
-///    never free early, because they never see unsafe nodes at all.
-///  - alloc_node()/on_reclaimable()/on_op_end() are called by the thread
-///    currently owning `lane` only and must be thread-safe across
+///    allocator->deallocate() (counted into total_freed()) or, under
+///    kPool, by being handed back out of alloc_node() (also counted:
+///    recycling is how the node leaves limbo).
+///  - A node handed over is safe to reclaim *now*; the executor may
+///    delay the actual free arbitrarily (delaying is always safe) but
+///    may never free early, because it never sees unsafe nodes at all.
+///  - alloc_node()/hand_over()/on_op_end() are called by the thread
+///    currently owning `lane` only and are thread-safe across
 ///    *different* lanes (per-lane state, atomic counters). quiesce() and
 ///    destruction are single-threaded: callers must ensure no thread is
 ///    inside an operation.
 ///  - quiesce(lane) drains every node the executor still holds for that
 ///    lane; after quiesce has run for all lanes, backlog() == 0 and
-///    total_freed() equals the number of nodes ever handed over (plus
-///    pool recycles).
+///    total_freed() equals the number of nodes ever handed over.
 ///  - A background ReclaimerDaemon may call daemon_drain() on any lane
 ///    concurrently with the lane owner — but only after the bundle was
 ///    armed with set_daemon_hooked(true) *before threads started*. The
-///    hook turns on a per-lane spinlock around every backlog mutation;
+///    hook turns on a per-lane spinlock around every queue mutation;
 ///    unhooked bundles never touch the lock, so daemon-off runs are
 ///    instruction-identical to a build without the daemon.
 ///  - Home-flush routing (set_home_flush(true), the *_hf factory
@@ -333,55 +352,46 @@ struct SmrStats {
 ///    allocation — the link lives in the dead node's first 8 bytes).
 ///    The owner flushes its own stash locally at
 ///    FreeSchedule::flush_quota per op; the daemon covers departed or
-///    idle lanes; a departing lane's stash folds into the adoption
-///    queue; quiesce() drains the lane's stash completely and latches
-///    routing off, so teardown strands nothing. Routing off (the
+///    idle lanes; a departing lane's stash joins its bag queue as an
+///    adopted bag; quiesce() drains the lane's stash completely and
+///    latches routing off, so teardown strands nothing. Routing off (the
 ///    default) touches none of this — non-hf bundles stay
 ///    instruction-identical to pre-routing builds.
 class FreeExecutor {
  public:
   FreeExecutor(const SmrContext& ctx, const SmrConfig& cfg,
-               FreeSchedule* schedule);
-  virtual ~FreeExecutor() = default;
+               FreeSchedule* schedule, FreeMode mode);
 
-  /// Serves a node allocation; the default goes straight to the
-  /// allocator. Pooling overrides this.
-  virtual void* alloc_node(int lane, std::size_t size);
+  /// Serves a node allocation. Under kPool it recycles the oldest
+  /// queued node when one of the trial's node size is waiting; every
+  /// other request goes to the allocator.
+  void* alloc_node(int lane, std::size_t size);
 
-  /// A bag of nodes is now safe to reclaim. Ownership transfers.
-  virtual void on_reclaimable(int lane, std::vector<void*>&& bag) = 0;
+  /// A bag of nodes is now safe to reclaim. Ownership transfers. Under
+  /// kBatch a fresh bag is freed on the spot; every other bag joins the
+  /// lane's queue and drains at the schedule's quota per op. `adopted`
+  /// marks a departing slot's hand-off (the churn-aware departure
+  /// drain): it is always queued, in every mode, so it never reaches
+  /// the allocator in one burst.
+  void hand_over(int lane, bool adopted, std::vector<void*>&& bag);
 
-  /// A departing slot's hand-off: nodes that are already safe but must
-  /// not hit the allocator in one burst (the churn-aware departure
-  /// drain). The default parks the bag in a per-lane adoption queue
-  /// that on_op_end drains at the schedule's quota; amortizing
-  /// executors fold it into their normal freeable backlog instead,
-  /// which obeys the same quota. Ownership transfers.
-  virtual void on_adopted(int lane, std::vector<void*>&& bag);
+  /// Called once per completed operation (the amortization hook):
+  /// counts the op, frees up to the schedule's drain quota from the
+  /// lane's queue (under kPool only what exceeds the pool cap), then
+  /// flushes the lane's home-flush stash.
+  void on_op_end(int lane);
 
-  /// Routing shorthand for the scheme TUs' drain paths: a bag left by
-  /// a departed generation goes through the amortizing adoption queue,
-  /// a fresh one straight to the schedule's normal path.
-  void hand_over(int lane, bool adopted, std::vector<void*>&& bag) {
-    if (adopted) {
-      on_adopted(lane, std::move(bag));
-    } else {
-      on_reclaimable(lane, std::move(bag));
-    }
-  }
-
-  /// Called once per completed operation (the amortization hook). The
-  /// base implementation counts the op and drains the lane's adoption
-  /// queue at the schedule's quota; overrides must uphold the same
-  /// per-op ceiling across every backlog they drain.
-  virtual void on_op_end(int lane);
-
-  /// Frees any backlog held for `lane`. Single-threaded use only.
-  virtual void quiesce(int lane);
+  /// Frees everything held for `lane`. Single-threaded use only.
+  void quiesce(int lane);
 
   /// Nodes this executor has freed or recycled (== left limbo).
   std::uint64_t total_freed() const {
     return freed_.load(std::memory_order_relaxed);
+  }
+
+  /// Allocations served from the queue (always 0 unless kPool).
+  std::uint64_t total_pooled_allocs() const {
+    return pooled_allocs_.load(std::memory_order_relaxed);
   }
 
   // ---- home-flush routing (docs/FREE_SCHEDULES.md) ----
@@ -393,26 +403,33 @@ class FreeExecutor {
   bool home_flush() const { return home_flush_; }
 
   /// Blocks ever diverted into a stash, summed over lanes.
-  std::uint64_t total_stashed() const;
+  std::uint64_t total_stashed() const {
+    return sum(lanes_, &LaneState::stashed);
+  }
   /// Blocks that ever left a stash (owner flush, daemon drain,
   /// departure adoption, quiesce), summed over lanes. At any quiescent
   /// point total_stashed() == total_flushed() + total_stash_backlog();
   /// after flush_all the backlog term is zero — the exact-ledger
   /// teardown check.
-  std::uint64_t total_flushed() const;
+  std::uint64_t total_flushed() const {
+    return sum(stash_, &RemoteStash::flushed);
+  }
   /// Blocks currently sitting in stashes, summed over lanes.
-  std::uint64_t total_stash_backlog() const;
+  std::uint64_t total_stash_backlog() const {
+    return sum(stash_, &RemoteStash::backlog);
+  }
 
-  /// Registry hook: `lane`'s owner deregistered. Folds the lane's
-  /// stash into its adoption queue so a departed lane never strands
+  /// Registry hook: `lane`'s owner deregistered. Hands the lane's stash
+  /// to its queue as an adopted bag so a departed lane never strands
   /// blocks — the successor (or daemon, or flush_all) drains them at
   /// the usual quota instead of in a burst. Called under the
   /// registration lock while the slot is unowned.
   void on_lane_released(int lane);
 
-  /// Nodes held in per-lane backlogs: adoption queues plus any
-  /// executor-specific freeable lists.
-  std::uint64_t backlog() const;
+  /// Nodes held for all lanes: bag queues plus stashes.
+  std::uint64_t backlog() const {
+    return sum(lanes_, &LaneState::backlog) + total_stash_backlog();
+  }
 
   /// The policy every quantum is sourced from.
   FreeSchedule& schedule() const { return *schedule_; }
@@ -432,14 +449,13 @@ class FreeExecutor {
   /// same call path. No-op bookkeeping when single-tenant.
   void set_lane_tenant(int lane, std::uint32_t tenant) {
     if (multi_tenant_) {
-      lanes_[static_cast<std::size_t>(lane)].tenant.store(
-          clamp_tenant(tenant), std::memory_order_relaxed);
+      lane_at(lane).tenant.store(clamp_tenant(tenant),
+                                 std::memory_order_relaxed);
     }
   }
 
   std::uint32_t lane_tenant(int lane) const {
-    return lanes_[static_cast<std::size_t>(lane)].tenant.load(
-        std::memory_order_relaxed);
+    return lane_at(lane).tenant.load(std::memory_order_relaxed);
   }
 
   /// One retire on `lane` attributed to its current tenant. Called by
@@ -468,42 +484,48 @@ class FreeExecutor {
   /// Frees up to `quota` nodes of `lane`'s backlog from the daemon
   /// thread, whose own registration slot is `daemon_lane` — the frees
   /// go to the daemon's allocator lane (its thread cache), the stats to
-  /// the drained lane. Pool inventory at or under daemon_floor() is
-  /// deliberately left alone. Requires daemon_hooked(); returns nodes
-  /// freed.
-  virtual std::size_t daemon_drain(int lane, std::size_t quota,
-                                   int daemon_lane);
+  /// the drained lane. The queue goes first, then the stash. Under
+  /// kPool the inventory at or under the pool cap is left alone
+  /// (recycling stock is not debt). Requires daemon_hooked(); returns
+  /// nodes freed.
+  std::size_t daemon_drain(int lane, std::size_t quota, int daemon_lane);
 
- protected:
+ private:
+  /// One handed-over bag waiting in a lane's queue: the reclaimer's
+  /// vector itself, a cursor past the nodes already freed or recycled,
+  /// and the tenant the hand-over was attributed to.
+  struct QueuedBag {
+    std::vector<void*> nodes;
+    std::size_t next = 0;
+    std::uint32_t tenant = 0;
+  };
+
   struct alignas(64) LaneState {
-    /// Departure hand-offs awaiting the amortized adoption drain. Only
-    /// the lane's owning thread (or a registry hook while the slot is
-    /// unowned) touches the deque — plus, when a daemon is hooked, the
-    /// daemon under `mu`; the atomic mirrors are for readers.
-    std::deque<void*> adopted;
-    /// Tenant tags parallel to `adopted`, maintained only when
-    /// multi-tenant (empty otherwise).
-    std::deque<std::uint32_t> adopted_tags;
+    /// The lane's bag queue. Only the lane's owning thread (or a
+    /// registry hook while the slot is unowned) touches it — plus, when
+    /// a daemon is hooked, the daemon under `mu`; `backlog` mirrors its
+    /// node count for readers.
+    std::deque<QueuedBag> bags;
     /// Un-flushed remainder of the last stash grab: the drainer takes
     /// the whole Treiber stack in one exchange but flushes only
     /// flush_quota blocks per op, so the rest waits here as a private
-    /// intrusive chain. Owned like `adopted` (owner thread, or the
-    /// daemon under `mu`); counted in RemoteStash::backlog until
-    /// freed.
+    /// intrusive chain. Owned like `bags`; counted in
+    /// RemoteStash::backlog until freed.
     void* stash_chain = nullptr;
-    /// Guards the backlog containers; taken only while a daemon is
+    /// Guards `bags` and `stash_chain`; taken only while a daemon is
     /// hooked (uncontended test-and-set otherwise skipped entirely).
     Spinlock mu;
     /// Hot per-op counters start on their own cache line (alignas
     /// below): the sampler/daemon read them concurrently, and sharing
-    /// a line with the owner-mutated containers above would ping-pong
-    /// every adoption push (the PR 10 false-sharing audit).
+    /// a line with the owner-mutated queue above would ping-pong every
+    /// hand-over.
     alignas(64) std::atomic<std::uint32_t> tenant{0};
     std::atomic<std::uint64_t> ops{0};
     std::atomic<std::uint64_t> enqueued{0};
     std::atomic<std::uint64_t> drained{0};
     std::atomic<std::uint64_t> adopted_total{0};
-    std::atomic<std::uint64_t> adopted_backlog{0};
+    /// Nodes in `bags`, written only by whoever holds the queue.
+    std::atomic<std::uint64_t> backlog{0};
     std::atomic<std::uint64_t> drain_ns{0};
     std::atomic<std::uint64_t> timed_drained{0};
     /// Blocks this lane diverted into some owner's stash (monotonic).
@@ -529,51 +551,66 @@ class FreeExecutor {
   static_assert(sizeof(RemoteStash) == 64,
                 "RemoteStash must own exactly one cache line");
 
-  /// RAII lane lock that collapses to nothing while no daemon is
-  /// hooked — the common case pays one predictable branch.
-  class LaneLock {
-   public:
-    LaneLock(LaneState& l, bool hooked) : l_(hooked ? &l : nullptr) {
-      if (l_ != nullptr) l_->mu.lock();
-    }
-    ~LaneLock() {
-      if (l_ != nullptr) l_->mu.unlock();
-    }
-    LaneLock(const LaneLock&) = delete;
-    LaneLock& operator=(const LaneLock&) = delete;
+  /// Sums one counter over every row of a per-lane table.
+  template <typename Row>
+  static std::uint64_t sum(const std::vector<Row>& rows,
+                           std::atomic<std::uint64_t> Row::*counter) {
+    std::uint64_t t = 0;
+    for (const Row& r : rows) t += (r.*counter).load(std::memory_order_relaxed);
+    return t;
+  }
 
-   private:
-    LaneState* l_;
-  };
+  /// The lane's queue lock, engaged only while a daemon is hooked —
+  /// unhooked bundles pay one predictable branch.
+  std::unique_lock<Spinlock> lock_lane(LaneState& l) const {
+    return daemon_hooked_ ? std::unique_lock<Spinlock>(l.mu)
+                          : std::unique_lock<Spinlock>();
+  }
 
-  /// Frees one node through the allocator, timing it into the trial
-  /// timeline as a kFreeCall when instrumentation is on.
-  void timed_free(int lane, void* p) { timed_free_as(lane, lane, p); }
+  LaneState& lane_at(int lane) {
+    assert(lane >= 0 && static_cast<std::size_t>(lane) < lanes_.size());
+    return lanes_[static_cast<std::size_t>(lane)];
+  }
+  const LaneState& lane_at(int lane) const {
+    assert(lane >= 0 && static_cast<std::size_t>(lane) < lanes_.size());
+    return lanes_[static_cast<std::size_t>(lane)];
+  }
 
-  /// timed_free with split attribution: stats (drained counters) to
-  /// `stats_lane`, the allocator call and timeline event to
-  /// `alloc_lane` — the daemon frees on its own allocator lane so the
-  /// modelled thread caches stay single-owner.
-  void timed_free_as(int stats_lane, int alloc_lane, void* p);
+  /// Queue nodes a drain must leave in place: the pool cap under kPool
+  /// (recycling inventory), 0 otherwise.
+  std::size_t queue_floor() const {
+    return mode_ == FreeMode::kPool ? schedule_->pool_cap() : 0;
+  }
 
-  /// timed_free_as through allocator->free_local_hint: the stash-drain
-  /// free, promising the backend the cross-lane cost was already paid
-  /// in bulk.
-  void timed_hint_free(int stats_lane, int alloc_lane, void* p);
+  /// Takes the front node off the lane's queue and books it drained
+  /// against its bag's tenant. Caller holds the queue and has checked
+  /// it is non-empty; the `backlog` gauge is the caller's to update.
+  void* pop_node(int lane, LaneState& l);
 
-  /// Frees up to `quota` nodes from the lane's adoption queue; returns
-  /// how many it freed. Takes the lane lock internally when hooked.
-  std::size_t drain_adopted(int lane, std::size_t quota);
+  /// The one queue drain: frees up to `quota` nodes from the front of
+  /// `lane`'s queue, leaving at least `floor`, on allocator lane
+  /// `alloc_lane`. `route` sends each free through routed_free (op-end
+  /// drains); the daemon and quiesce free directly. Takes the lane lock
+  /// when hooked; returns nodes freed.
+  std::size_t drain(int lane, std::size_t quota, std::size_t floor,
+                    int alloc_lane, bool route);
 
-  /// The hot-path free for every amortizing/batched drain: when
-  /// home-flush routing is armed and `p`'s allocator home lane is a
-  /// different live lane than `alloc_lane`, the block is pushed onto
-  /// the home lane's stash (counted `stashed` on `stats_lane`) instead
-  /// of being freed foreign; otherwise it is a plain timed_free_as.
-  /// quiesce() never routes (it frees directly), and the first quiesce
-  /// latches routing off for the rest of the teardown pass so
-  /// interleaved hand-over/quiesce loops cannot re-scatter blocks into
-  /// already-quiesced stashes.
+  /// Frees one node through the allocator on `alloc_lane` — through
+  /// free_local_hint when `local_hint` (the stash flush, whose
+  /// cross-lane cost was already paid in bulk), deallocate otherwise —
+  /// timing it into the trial timeline as a kFreeCall when
+  /// instrumentation is on, and counting it drained on `stats_lane`.
+  void free_node(int stats_lane, int alloc_lane, void* p,
+                 bool local_hint = false);
+
+  /// The hot-path free for every op-end and batch free: when home-flush
+  /// routing is armed and `p`'s allocator home lane is a different live
+  /// lane than `alloc_lane`, the block is pushed onto the home lane's
+  /// stash (counted `stashed` on `stats_lane`) instead of being freed
+  /// foreign; otherwise it is a plain free_node. quiesce() never routes
+  /// (it frees directly), and the first quiesce latches routing off for
+  /// the rest of the teardown pass so interleaved hand-over/quiesce
+  /// loops cannot re-scatter blocks into already-quiesced stashes.
   void routed_free(int stats_lane, int alloc_lane, void* p);
 
   /// Pushes `p` onto `home`'s stash. Lock-free, called from any lane.
@@ -591,6 +628,11 @@ class FreeExecutor {
   /// safe here because on_op_end proves the bundle is live again.
   void maybe_flush_stash(int lane);
 
+  /// Books a clocked op-end drain burst (started at `t0`, `n` nodes)
+  /// into the lane's drain_ns/timed_drained — only for schedules that
+  /// consume lane stats; the others never read the clock.
+  void note_drain_time(LaneState& l, std::uint64_t t0, std::size_t n);
+
   std::size_t tenant_cell(int lane, std::uint32_t tenant) const {
     return static_cast<std::size_t>(lane) *
                static_cast<std::size_t>(tenants_) +
@@ -601,44 +643,27 @@ class FreeExecutor {
     return t < static_cast<std::uint32_t>(tenants_) ? t : 0;
   }
 
-  void note_tenant_enqueued(int lane, std::uint32_t t, std::uint64_t n) {
+  using TenantGrid = std::unique_ptr<std::atomic<std::uint64_t>[]>;
+
+  /// Adds `n` to (lane, tenant t)'s cell of `grid`; no-op when
+  /// single-tenant.
+  void note_tenant(const TenantGrid& grid, int lane, std::uint32_t t,
+                   std::uint64_t n) {
     if (multi_tenant_ && n > 0) {
-      tenant_enqueued_[tenant_cell(lane, t)].fetch_add(
-          n, std::memory_order_relaxed);
+      grid[tenant_cell(lane, t)].fetch_add(n, std::memory_order_relaxed);
     }
   }
 
-  void note_tenant_drained(int lane, std::uint32_t t, std::uint64_t n) {
-    if (multi_tenant_ && n > 0) {
-      tenant_drained_[tenant_cell(lane, t)].fetch_add(
-          n, std::memory_order_relaxed);
-    }
-  }
-
-  /// Backlog the daemon must not drain below (the pooling executor's
-  /// inventory cap — recycling stock is not debt).
-  virtual std::size_t daemon_floor() const { return 0; }
-
-  /// The schedule's quantum for this lane's op end. Builds the stats
-  /// snapshot only when the policy consumes it, so constant-quantum
-  /// schedules cost one virtual call per op.
-  std::size_t drain_quota_for(int lane) const {
-    if (!stats_hungry_) return schedule_->drain_quota(LaneStats{});
-    return schedule_->drain_quota(lane_stats(lane));
-  }
-
-  LaneState& lane_state(int lane);
-  const LaneState& lane_state(int lane) const;
-
-  /// Executor-specific backlog beyond the adoption queue (the
-  /// amortized executor's freeable list).
-  virtual std::uint64_t lane_backlog(int lane) const {
-    (void)lane;
-    return 0;
+  /// The lane snapshot a schedule quantum is computed from. Built only
+  /// when the policy consumes it, so constant-quantum schedules cost
+  /// one virtual call per op.
+  LaneStats quota_stats(int lane) const {
+    return stats_hungry_ ? lane_stats(lane) : LaneStats{};
   }
 
   SmrContext ctx_;
   FreeSchedule* schedule_;
+  FreeMode mode_;
   bool stats_hungry_;  // schedule_->consumes_lane_stats(), cached
   int tenants_;
   bool multi_tenant_;
@@ -654,10 +679,14 @@ class FreeExecutor {
   std::vector<LaneState> lanes_;
   std::vector<RemoteStash> stash_;
   std::atomic<std::uint64_t> freed_{0};
+  /// kPool: the node size recycling serves (the first size requested —
+  /// trials use one node size) and how many allocations it served.
+  std::atomic<std::size_t> common_size_{0};
+  std::atomic<std::uint64_t> pooled_allocs_{0};
   // lane-major [lane][tenant] grids, allocated only when multi-tenant.
-  std::unique_ptr<std::atomic<std::uint64_t>[]> tenant_retired_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> tenant_enqueued_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> tenant_drained_;
+  TenantGrid tenant_retired_;
+  TenantGrid tenant_enqueued_;
+  TenantGrid tenant_drained_;
 };
 
 /// RAII thread registration. A thread joins a reclaimer's population
@@ -803,7 +832,7 @@ class Reclaimer {
   }
 
   /// Node allocation goes through the reclaimer so pooling variants can
-  /// serve it from the freeable list and era schemes can stamp birth
+  /// serve it from the executor's queue and era schemes can stamp birth
   /// eras.
   void* alloc_node(ThreadHandle& h, std::size_t size) {
     return alloc_node_slot(check(h), size);

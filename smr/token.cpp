@@ -23,7 +23,7 @@
 // CAS. A departing handle seals its bag, drains what is already safe and
 // parks the rest for the slot's successor (or flush_all); every bag the
 // departing thread leaves behind is marked adopted and later drains
-// through the executor's on_adopted() path — at the FreeSchedule quota
+// through the executor's adopted hand-over — at the FreeSchedule quota
 // per op — instead of in one burst.
 //
 // Batching policy: the bag-seal threshold comes from the FreeSchedule
@@ -75,8 +75,8 @@ class TokenReclaimer final : public Reclaimer {
       std::lock_guard<std::mutex> lock(s.mu);
       seal(s);
       while (!s.sealed.empty()) {
-        executor_->on_reclaimable(static_cast<int>(t),
-                                  std::move(s.sealed.front().nodes));
+        executor_->hand_over(static_cast<int>(t), /*adopted=*/false,
+                             std::move(s.sealed.front().nodes));
         s.sealed.pop_front();
       }
       executor_->quiesce(static_cast<int>(t));

@@ -207,6 +207,8 @@ TEST(Env, ScheduleKnobsOverrideAndValidate) {
   env.unset("EMR_DRAIN_MAX");
   env.unset("EMR_POOL_CAP");
   env.unset("EMR_EXTRA_SLOTS");
+  env.unset("EMR_BATCH");
+  env.unset("EMR_AF_DRAIN");
 
   harness::TrialConfig cfg;
   harness::apply_env_overrides(cfg);
@@ -228,7 +230,25 @@ TEST(Env, ScheduleKnobsOverrideAndValidate) {
   EXPECT_EQ(cfg.smr.pool_cap, 4096u);
   EXPECT_EQ(cfg.smr.extra_slots, 5u);
 
-  // Nonsensical values fail fast instead of being silently repaired.
+  // Nonsensical values fail fast instead of being silently repaired:
+  // neither a zero batch/drain quantum nor garbage is clamped or
+  // replaced by the default, and the error names the knob.
+  for (const char* knob : {"EMR_BATCH", "EMR_AF_DRAIN"}) {
+    for (const char* bad : {"0", "-3", "junk"}) {
+      env.set(knob, bad);
+      try {
+        harness::apply_env_overrides(cfg);
+        ADD_FAILURE() << knob << "=" << bad << " must throw";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(knob), std::string::npos)
+            << e.what();
+      }
+    }
+    env.set(knob, "16");
+  }
+  harness::apply_env_overrides(cfg);
+  EXPECT_EQ(cfg.smr.batch_size, 16u);
+  EXPECT_EQ(cfg.smr.af_drain_per_op, 16u);
   env.set("EMR_POOL_CAP", "0");
   EXPECT_THROW(harness::apply_env_overrides(cfg), std::invalid_argument);
   env.set("EMR_POOL_CAP", "-3");

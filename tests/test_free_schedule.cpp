@@ -74,8 +74,26 @@ TEST(FreeSchedule, FixedMirrorsTheConfig) {
 TEST(FreeSchedule, NonsenseFailsFastNamingTheKnob) {
   smr::SmrConfig cfg;
   cfg.batch_size = 0;
-  EXPECT_THROW(smr::make_free_schedule(smr::ScheduleKind::kFixed, cfg),
-               std::invalid_argument);
+  try {
+    smr::make_free_schedule(smr::ScheduleKind::kFixed, cfg);
+    FAIL() << "batch_size == 0 must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("EMR_BATCH"), std::string::npos);
+  }
+  // A zero drain quantum is rejected, not repaired to 1 — for every
+  // policy, so a config that names it fails the same way everywhere.
+  for (const smr::ScheduleKind kind :
+       {smr::ScheduleKind::kFixed, smr::ScheduleKind::kAdaptive}) {
+    cfg = {};
+    cfg.af_drain_per_op = 0;
+    try {
+      smr::make_free_schedule(kind, cfg);
+      FAIL() << "af_drain_per_op == 0 must throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("EMR_AF_DRAIN"),
+                std::string::npos);
+    }
+  }
   cfg = {};
   cfg.drain_min = 0;
   EXPECT_THROW(smr::make_free_schedule(smr::ScheduleKind::kAdaptive, cfg),
@@ -393,53 +411,74 @@ TEST(FreeSchedule, RegisterExhaustionNamesTheKnob) {
 
 // ------------------------------------- churn-aware departure drain
 
-// The adoption-spike regression (satellite of the FreeSchedule issue):
-// a departing thread's parked bags must reach the allocator at the
-// schedule's quota per op — never as one burst — even under the batch
-// executor, where fresh bags are deliberately freed whole.
+// The adoption-spike regression: a departing thread's parked bags must
+// reach the allocator at the schedule's quota per op — never as one
+// burst — in every executor mode: under batch, where fresh bags are
+// deliberately freed whole, under amortized, and under pool, where the
+// drain must also stop at the pool cap and keep that inventory.
 TEST(FreeSchedule, DepartureBacklogNeverSpikesPastQuota) {
   constexpr std::uint64_t kQuota = 4;
   constexpr int kRetired = 40;
-  World w("debra", small_config(/*batch=*/8, /*drain=*/kQuota));
-  smr::ThreadHandle a = w.r().register_thread();
-  smr::ThreadHandle b = w.r().register_thread();
+  constexpr std::size_t kPoolCap = 2;
+  for (const char* name : {"debra", "debra_af", "debra_pool"}) {
+    SCOPED_TRACE(name);
+    const bool pool = std::string(name) == "debra_pool";
+    smr::SmrConfig cfg = small_config(/*batch=*/8, /*drain=*/kQuota);
+    cfg.pool_cap = kPoolCap;
+    World w(name, cfg);
+    smr::ThreadHandle a = w.r().register_thread();
+    smr::ThreadHandle b = w.r().register_thread();
 
-  std::uint64_t at_release = 0;
-  {
-    smr::ThreadHandle departing = w.r().register_thread();
-    for (int i = 0; i < kRetired; ++i) {
-      smr::Guard g(departing);
-      g.retire(w.r().alloc_node(departing, 64));
+    std::uint64_t at_release = 0;
+    {
+      smr::ThreadHandle departing = w.r().register_thread();
+      for (int i = 0; i < kRetired; ++i) {
+        smr::Guard g(departing);
+        g.retire(w.r().alloc_node(departing, 64));
+      }
+      // Bags that aged while the thread was live may already have been
+      // freed (whole under batch) or recycled (under pool) — that is
+      // each mode's designed behaviour. The regression is about what
+      // happens from the release on.
+      at_release = w.allocator.frees();
+    }  // departs: open bag seals, every parked bag is marked adopted
+    EXPECT_LE(w.allocator.frees() - at_release, kQuota)
+        << "the departure itself must not burst-free the backlog";
+
+    smr::ThreadHandle succ = w.r().register_thread();  // adopts the lane
+    std::uint64_t prev = w.allocator.frees();
+    for (int i = 0; i < 600; ++i) {
+      { smr::Guard g(succ); }
+      std::uint64_t now = w.allocator.frees();
+      EXPECT_LE(now - prev, kQuota)
+          << "op " << i << " freed a larger-than-quota burst";
+      prev = now;
+      { smr::Guard g(a); }
+      { smr::Guard g(b); }
+      now = w.allocator.frees();
+      // The other lanes hold no backlog; nothing may drain there.
+      EXPECT_LE(now - prev, kQuota) << "op " << i;
+      prev = now;
     }
-    // Bags that aged while the thread was live may already have been
-    // batch-freed — that is the batch executor's designed behaviour.
-    // The regression is about what happens from the release on.
-    at_release = w.allocator.frees();
-  }  // departs: open bag seals, every parked bag is marked adopted
-  EXPECT_LE(w.allocator.frees() - at_release, kQuota)
-      << "the departure itself must not burst-free the backlog";
+    EXPECT_GT(w.allocator.frees(), at_release + kQuota)
+        << "the departure must leave more than one op's quota to drain";
+    const smr::SmrStats st = w.r().stats();
+    if (pool) {
+      // Everything above the cap drained through the quota; the cap's
+      // worth stays queued as recycling inventory.
+      EXPECT_EQ(w.r().executor().backlog(), kPoolCap);
+      EXPECT_EQ(st.pending, kPoolCap);
+      EXPECT_EQ(w.allocator.live(), kPoolCap);
+    } else {
+      EXPECT_EQ(st.pending, 0u)
+          << "the adopted backlog must fully drain through the quota";
+      EXPECT_EQ(w.allocator.live(), 0u);
+    }
 
-  smr::ThreadHandle succ = w.r().register_thread();  // adopts the lane
-  std::uint64_t prev = w.allocator.frees();
-  for (int i = 0; i < 600 && w.allocator.frees() < kRetired; ++i) {
-    { smr::Guard g(succ); }
-    std::uint64_t now = w.allocator.frees();
-    EXPECT_LE(now - prev, kQuota)
-        << "op " << i << " freed a larger-than-quota burst";
-    prev = now;
-    { smr::Guard g(a); }
-    { smr::Guard g(b); }
-    now = w.allocator.frees();
-    // The other lanes hold no backlog; nothing may drain there.
-    EXPECT_LE(now - prev, kQuota) << "op " << i;
-    prev = now;
+    w.r().flush_all();
+    EXPECT_EQ(w.r().stats().pending, 0u);
+    EXPECT_EQ(w.allocator.live(), 0u);
   }
-  EXPECT_GE(w.allocator.frees(), static_cast<std::uint64_t>(kRetired))
-      << "the adopted backlog must fully drain through the quota";
-
-  w.r().flush_all();
-  EXPECT_EQ(w.r().stats().pending, 0u);
-  EXPECT_EQ(w.allocator.live(), 0u);
 }
 
 // Adaptive end-to-end accounting: the _adaptive variants retire/flush

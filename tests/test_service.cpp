@@ -354,64 +354,74 @@ TEST(ServiceTrialTest, BurstScheduleRunsAndSeparatesDelay) {
 
 // --------------------------------------------------- tenant accounting
 
+// Per-bag tenant tags across every executor mode: batch (fresh bags
+// enter and leave the books at hand-over), amortized (queued bags
+// drained per op) and pool (queued bags recycled through alloc_node).
 TEST(TenantAccountingTest, ExecutorLedgersSumExactly) {
-  test::TrackingAllocator allocator;
-  smr::SmrContext ctx;
-  ctx.allocator = &allocator;
-  smr::SmrConfig cfg;
-  cfg.num_threads = 2;
-  cfg.batch_size = 8;
-  cfg.af_drain_per_op = 4;
-  cfg.tenants = 2;
-  smr::ReclaimerBundle bundle = smr::make_reclaimer("debra_af", ctx, cfg);
-  smr::Reclaimer& r = *bundle.reclaimer;
-  smr::FreeExecutor& ex = r.executor();
-  ASSERT_EQ(ex.tenant_count(), 2);
+  for (const char* name : {"debra", "debra_af", "debra_pool"}) {
+    SCOPED_TRACE(name);
+    test::TrackingAllocator allocator;
+    smr::SmrContext ctx;
+    ctx.allocator = &allocator;
+    smr::SmrConfig cfg;
+    cfg.num_threads = 2;
+    cfg.batch_size = 8;
+    cfg.af_drain_per_op = 4;
+    cfg.pool_cap = 4;
+    cfg.tenants = 2;
+    smr::ReclaimerBundle bundle = smr::make_reclaimer(name, ctx, cfg);
+    smr::Reclaimer& r = *bundle.reclaimer;
+    smr::FreeExecutor& ex = r.executor();
+    ASSERT_EQ(ex.tenant_count(), 2);
 
-  constexpr int kOnTenant0 = 60;
-  constexpr int kOnTenant1 = 25;
-  {
-    smr::ThreadHandle h = r.register_thread();
-    ex.set_lane_tenant(h.slot(), 0);
-    for (int i = 0; i < kOnTenant0; ++i) {
-      smr::Guard g(h);
-      g.retire(r.alloc_node(h, 64));
+    constexpr int kOnTenant0 = 60;
+    constexpr int kOnTenant1 = 25;
+    {
+      smr::ThreadHandle h = r.register_thread();
+      ex.set_lane_tenant(h.slot(), 0);
+      for (int i = 0; i < kOnTenant0; ++i) {
+        smr::Guard g(h);
+        g.retire(r.alloc_node(h, 64));
+      }
+      ex.set_lane_tenant(h.slot(), 1);
+      for (int i = 0; i < kOnTenant1; ++i) {
+        smr::Guard g(h);
+        g.retire(r.alloc_node(h, 64));
+      }
+      // Mid-run invariants: retires are per-retire exact, and whatever
+      // the executor holds right now is exactly the per-tenant
+      // backlogs' sum.
+      const smr::TenantStats t0 = ex.tenant_stats(0);
+      const smr::TenantStats t1 = ex.tenant_stats(1);
+      EXPECT_EQ(t0.retired, static_cast<std::uint64_t>(kOnTenant0));
+      EXPECT_EQ(t1.retired, static_cast<std::uint64_t>(kOnTenant1));
+      EXPECT_EQ(t0.backlog + t1.backlog, ex.backlog());
+      // The lane snapshot carries the same per-tenant split.
+      const smr::LaneStats ls = ex.lane_stats(h.slot());
+      ASSERT_EQ(ls.tenant_enqueued.size(), 2u);
+      ASSERT_EQ(ls.tenant_drained.size(), 2u);
     }
-    ex.set_lane_tenant(h.slot(), 1);
-    for (int i = 0; i < kOnTenant1; ++i) {
-      smr::Guard g(h);
-      g.retire(r.alloc_node(h, 64));
+    if (std::string(name) == "debra_pool") {
+      EXPECT_GT(ex.total_pooled_allocs(), 0u) << "recycle path unexercised";
     }
-    // Mid-run invariants: retires are per-retire exact, and whatever
-    // the executor holds right now is exactly the per-tenant backlogs'
-    // sum.
+    r.flush_all();
+
     const smr::TenantStats t0 = ex.tenant_stats(0);
     const smr::TenantStats t1 = ex.tenant_stats(1);
-    EXPECT_EQ(t0.retired, static_cast<std::uint64_t>(kOnTenant0));
-    EXPECT_EQ(t1.retired, static_cast<std::uint64_t>(kOnTenant1));
-    EXPECT_EQ(t0.backlog + t1.backlog, ex.backlog());
-    // The lane snapshot carries the same per-tenant split.
-    const smr::LaneStats ls = ex.lane_stats(h.slot());
-    ASSERT_EQ(ls.tenant_enqueued.size(), 2u);
-    ASSERT_EQ(ls.tenant_drained.size(), 2u);
+    EXPECT_EQ(t0.retired + t1.retired,
+              static_cast<std::uint64_t>(kOnTenant0 + kOnTenant1));
+    // Every retired node reached the executor and left it; drains are
+    // attributed by hand-over-time tags, so the books balance per
+    // tenant, not just in total.
+    EXPECT_EQ(t0.enqueued + t1.enqueued,
+              static_cast<std::uint64_t>(kOnTenant0 + kOnTenant1));
+    EXPECT_EQ(t0.enqueued, t0.drained);
+    EXPECT_EQ(t1.enqueued, t1.drained);
+    EXPECT_EQ(t0.backlog + t1.backlog, 0u);
+    EXPECT_EQ(allocator.live(), 0u);
+    // Out-of-range queries are zeros, not crashes.
+    EXPECT_EQ(ex.tenant_stats(7).retired, 0u);
   }
-  r.flush_all();
-
-  const smr::TenantStats t0 = ex.tenant_stats(0);
-  const smr::TenantStats t1 = ex.tenant_stats(1);
-  EXPECT_EQ(t0.retired + t1.retired,
-            static_cast<std::uint64_t>(kOnTenant0 + kOnTenant1));
-  // Every retired node reached an executor and was freed; drains are
-  // attributed by enqueue-time tags, so the books balance per tenant,
-  // not just in total.
-  EXPECT_EQ(t0.enqueued + t1.enqueued,
-            static_cast<std::uint64_t>(kOnTenant0 + kOnTenant1));
-  EXPECT_EQ(t0.enqueued, t0.drained);
-  EXPECT_EQ(t1.enqueued, t1.drained);
-  EXPECT_EQ(t0.backlog + t1.backlog, 0u);
-  EXPECT_EQ(allocator.live(), 0u);
-  // Out-of-range queries are zeros, not crashes.
-  EXPECT_EQ(ex.tenant_stats(7).retired, 0u);
 }
 
 TEST(TenantAccountingTest, SingleTenantBundleKeepsTenantPathsOff) {
