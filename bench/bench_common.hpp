@@ -7,9 +7,6 @@
 //   EMR_TRIALS   - trials per data point (paper: 3)
 //   EMR_KEYRANGE - key range (paper: 2e7 for ABtree, 2e6 for DGT)
 //   EMR_BATCH    - retire batch size / scan threshold (Experiment 2: 32768)
-//   EMR_SCHEDULE - free-schedule policy override for any reclaimer
-//                  name: fixed | adaptive | latency (default: follow
-//                  the name's suffix; see docs/FREE_SCHEDULES.md)
 //   EMR_LATENCY_TARGET_US - p99.9 target steering the latency schedule
 //   EMR_LATENCY  - 1 = record per-op latency histograms (docs/LATENCY.md)
 //   EMR_DRAIN_MIN / EMR_DRAIN_MAX - clamp on the adaptive schedule's
@@ -17,8 +14,6 @@
 //   EMR_FLUSH_BATCH - ceiling on the home-flush quantum: how many
 //                  stashed remote frees an owner retires locally per op
 //                  end (>= 1; docs/FREE_SCHEDULES.md)
-//   EMR_HOME_FLUSH - on | off: force remote-free routing regardless of
-//                  the reclaimer name's _hf suffix
 //   EMR_POOL_CAP - pooling inventory cap per lane (default: 4 batches,
 //                  floored at 1024; non-positive values are rejected)
 //   EMR_EXTRA_SLOTS - registration slots beyond the worker count

@@ -24,15 +24,17 @@ namespace emr::harness {
 
 namespace {
 
-/// Reads a knob that must be a positive integer. Zero, negative and
-/// unparsable values throw naming the knob and what it is for — they are
-/// never clamped or silently replaced by the default.
-std::size_t positive_env(const char* name, const char* what) {
+/// Reads a knob that must be an integer >= `min` (1 unless stated).
+/// Smaller, negative and unparsable values throw naming the knob and
+/// what it is for — they are never clamped or silently replaced by the
+/// default.
+std::size_t positive_env(const char* name, const char* what,
+                         long long min = 1) {
   const long long v = env_i64(name, -1);
-  if (v < 1) {
+  if (v < min) {
     throw std::invalid_argument(std::string("invalid ") + name + ": '" +
-                                env_str(name, "") + "' (must be >= 1: " +
-                                what + ")");
+                                env_str(name, "") + "' (must be >= " +
+                                std::to_string(min) + ": " + what + ")");
   }
   return static_cast<std::size_t>(v);
 }
@@ -44,16 +46,16 @@ void apply_env_overrides(TrialConfig& cfg) {
   cfg.reclaimer = env_str("EMR_RECLAIMER", cfg.reclaimer);
   cfg.allocator = env_str("EMR_ALLOC", cfg.allocator);
   if (env_has("EMR_KEYRANGE")) {
-    cfg.keyrange = std::max<std::uint64_t>(
-        env_u64("EMR_KEYRANGE", cfg.keyrange), 2);
+    cfg.keyrange = positive_env(
+        "EMR_KEYRANGE", "the key universe needs at least two keys", 2);
   }
   if (env_has("EMR_MS")) {
     cfg.measure_ms = static_cast<int>(
-        std::max<long long>(env_i64("EMR_MS", cfg.measure_ms), 1));
+        positive_env("EMR_MS", "the measured window in milliseconds"));
   }
   if (env_has("EMR_TRIALS")) {
     cfg.trials = static_cast<int>(
-        std::max<long long>(env_i64("EMR_TRIALS", cfg.trials), 1));
+        positive_env("EMR_TRIALS", "the number of trials per cell"));
   }
   if (env_has("EMR_SEED")) cfg.seed = env_u64("EMR_SEED", cfg.seed);
   if (env_has("EMR_BATCH")) {
@@ -64,21 +66,9 @@ void apply_env_overrides(TrialConfig& cfg) {
     cfg.smr.af_drain_per_op =
         positive_env("EMR_AF_DRAIN", "the amortized drain quantum per op");
   }
-  if (env_has("EMR_SCHEDULE")) {
-    // Validity ("fixed" | "adaptive") is enforced by make_free_schedule
-    // when the reclaimer is built, so a typo fails loudly with the
-    // valid choices instead of silently running the wrong policy.
-    cfg.smr.schedule = env_str("EMR_SCHEDULE", cfg.smr.schedule);
-  }
   if (env_has("EMR_FLUSH_BATCH")) {
     cfg.smr.flush_batch =
         positive_env("EMR_FLUSH_BATCH", "the home-flush quantum's ceiling");
-  }
-  if (env_has("EMR_HOME_FLUSH")) {
-    // Validity ("on" | "off") is enforced by make_reclaimer, so a typo
-    // fails loudly there instead of silently keeping the name-derived
-    // routing setting.
-    cfg.smr.home_flush = env_str("EMR_HOME_FLUSH", cfg.smr.home_flush);
   }
   if (env_has("EMR_DRAIN_MIN")) {
     cfg.smr.drain_min =
@@ -115,12 +105,12 @@ void apply_env_overrides(TrialConfig& cfg) {
         static_cast<int>(env_i64("EMR_SAMPLE_MS", cfg.schedule_sample_ms));
   }
   if (env_has("EMR_HP_SLOTS")) {
-    cfg.smr.hp_slots = static_cast<std::size_t>(std::max<std::uint64_t>(
-        env_u64("EMR_HP_SLOTS", cfg.smr.hp_slots), 1));
+    cfg.smr.hp_slots = positive_env(
+        "EMR_HP_SLOTS", "protection slots per thread for hp/he/wfe");
   }
   if (env_has("EMR_EPOCH_FREQ")) {
-    cfg.smr.epoch_freq = static_cast<std::size_t>(std::max<std::uint64_t>(
-        env_u64("EMR_EPOCH_FREQ", cfg.smr.epoch_freq), 1));
+    cfg.smr.epoch_freq = positive_env(
+        "EMR_EPOCH_FREQ", "node allocations per era-clock advance");
   }
   if (env_has("EMR_REMOTE_PENALTY_NS")) {
     cfg.alloc.remote_free_penalty_ns =
@@ -852,6 +842,9 @@ TrialResult Trial::run() {
           case Op::kLookup:
             set.contains(handle, op.key);
             break;
+          case Op::kEnqueue:
+          case Op::kDequeue:
+            break;  // queue kinds: OpStream draws set ops only
         }
         if (record_latency) {
           const std::uint64_t d = now_ns() - op_t0;
@@ -915,6 +908,9 @@ TrialResult Trial::run() {
           case Op::kLookup:
             set.contains(handle, a.key);
             break;
+          case Op::kEnqueue:
+          case Op::kDequeue:
+            break;  // queue kinds: service schedules draw set ops only
         }
         if (record_latency) {
           const std::uint64_t d = now_ns() - op_t0;

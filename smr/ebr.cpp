@@ -15,15 +15,13 @@
 // at the FreeSchedule quota over the successor's next ops instead of in
 // one free burst.
 //
-// Batching policy: the bag-seal threshold comes from the FreeSchedule
-// (fixed = the configured batch, adaptive = prorated by the registered
-// population); this TU never reads the config's batching knobs.
-#include <algorithm>
+// Batching policy: the bag-seal threshold is the base's cached
+// FreeSchedule answer (fixed = the configured batch, adaptive = prorated
+// by the registered population); this TU never reads the config's
+// batching knobs.
 #include <atomic>
-#include <deque>
 #include <vector>
 
-#include "core/timing.hpp"
 #include "smr/internal.hpp"
 
 namespace emr::smr::internal {
@@ -31,21 +29,15 @@ namespace {
 
 constexpr std::uint64_t kAdvanceEveryOps = 16;
 
-struct SealedBag {
-  std::uint64_t epoch = 0;
-  bool adopted = false;  // left behind by a departed generation
-  std::vector<void*> nodes;
-};
-
 struct alignas(64) EbrSlot {
   // (epoch << 1) | active. Inactive threads never block an advance.
   std::atomic<std::uint64_t> announce{0};
   // Owner-private bookkeeping starts on its own cache line: every
   // advance scan reads every slot's announce, and the owner rewrites
   // bag/ops on every retire — sharing the line would bounce it across
-  // the whole population once per epoch check.
-  alignas(64) std::vector<void*> bag;
-  std::deque<SealedBag> sealed;
+  // the whole population once per epoch check. Bags are stamped with
+  // their seal epoch.
+  alignas(64) LimboBags limbo;
   std::uint64_t ops = 0;
 };
 static_assert(alignof(EbrSlot) == 64 && sizeof(EbrSlot) % 64 == 0,
@@ -55,47 +47,19 @@ static_assert(alignof(EbrSlot) == 64 && sizeof(EbrSlot) % 64 == 0,
 class EbrReclaimer final : public Reclaimer {
  public:
   EbrReclaimer(const EbrOptions& opt, const SmrContext& ctx,
-               const SmrConfig& cfg, FreeExecutor* executor)
-      : Reclaimer(cfg),
+               const SmrConfig& cfg, FreeExecutor& executor)
+      : Reclaimer(ctx, cfg, executor),
         opt_(opt),
-        ctx_(ctx),
-        executor_(executor),
-        slots_(cfg.slot_capacity()) {
-    seal_threshold_.store(compute_seal_threshold(),
-                          std::memory_order_relaxed);
-  }
+        slots_(cfg.slot_capacity()) {}
 
   ~EbrReclaimer() override { flush_all(); }
 
-  void flush_all() override {
-    for (std::size_t t = 0; t < slots_.size(); ++t) {
-      EbrSlot& s = slots_[t];
-      seal(s);
-      while (!s.sealed.empty()) {
-        executor_->hand_over(static_cast<int>(t), /*adopted=*/false,
-                             std::move(s.sealed.front().nodes));
-        s.sealed.pop_front();
-      }
-      executor_->quiesce(static_cast<int>(t));
-    }
-  }
-
-  SmrStats stats() const override {
-    SmrStats st;
-    st.retired = retired_.load(std::memory_order_relaxed);
-    st.freed = executor_->total_freed();
-    st.pending = st.retired - st.freed;
-    st.epochs_advanced = epochs_advanced_.load(std::memory_order_relaxed);
-    return st;
-  }
-
-  FreeExecutor& executor() override { return *executor_; }
   const char* name() const override { return opt_.name; }
   const char* family() const override { return "ebr"; }
 
  protected:
   void begin_op_slot(int slot_idx) override {
-    EbrSlot& s = slot(slot_idx);
+    EbrSlot& s = at(slots_, slot_idx);
     if (opt_.quiescent) {
       const std::uint64_t e = epoch_.load(std::memory_order_relaxed);
       s.announce.store((e << 1) | 1, std::memory_order_relaxed);
@@ -106,100 +70,63 @@ class EbrReclaimer final : public Reclaimer {
   }
 
   void end_op_slot(int slot_idx) override {
-    EbrSlot& s = slot(slot_idx);
+    EbrSlot& s = at(slots_, slot_idx);
     s.announce.store(s.announce.load(std::memory_order_relaxed) & ~1ULL,
                      opt_.quiescent ? std::memory_order_relaxed
                                     : std::memory_order_release);
     if (++s.ops % kAdvanceEveryOps == 0) try_advance(slot_idx);
     if (!opt_.leak) collect_safe(slot_idx, s);
-    executor_->on_op_end(slot_idx);
-  }
-
-  void* protect_slot(int, int, LoadFn load, const void* src) override {
-    return load(src);  // epoch-class scheme: reads need no publication
   }
 
   void retire_slot(int slot_idx, void* p) override {
-    EbrSlot& s = slot(slot_idx);
-    retired_.fetch_add(1, std::memory_order_relaxed);
-    s.bag.push_back(p);
-    if (s.bag.size() >= seal_threshold()) {
-      seal(s);
+    LimboBags& l = at(slots_, slot_idx).limbo;
+    l.open.push_back(p);
+    if (l.open.size() >= threshold()) {
+      l.seal(epoch());
       try_advance(slot_idx);
     }
   }
 
-  void* alloc_node_slot(int slot_idx, std::size_t size) override {
-    return executor_->alloc_node(slot_idx, size);
-  }
-
-  void dealloc_unpublished_slot(int slot_idx, void* p) override {
-    ctx_.allocator->deallocate(slot_idx, p);
+  void flush_slot(int slot_idx) override {
+    at(slots_, slot_idx).limbo.flush(executor(), slot_idx, epoch());
   }
 
   /// Generation hand-off: the incoming thread adopts its predecessor's
   /// parked bags, draining the ones whose grace has already elapsed.
   void on_slot_register(int slot_idx) override {
-    if (!opt_.leak) collect_safe(slot_idx, slot(slot_idx));
-  }
-
-  void on_population_change(std::size_t) override {
-    seal_threshold_.store(compute_seal_threshold(),
-                          std::memory_order_relaxed);
+    if (!opt_.leak) collect_safe(slot_idx, at(slots_, slot_idx));
   }
 
   /// Departure: the announcement drops (a vacated slot can never hold
-  /// an epoch back), the open bag is sealed, and every parked bag is
-  /// marked adopted — whenever grace admits it, it drains at the
-  /// schedule's quota over the successor's ops, never in one burst.
+  /// an epoch back) and the limbo departs: every parked bag is adopted.
   void on_slot_deregister(int slot_idx) override {
-    EbrSlot& s = slot(slot_idx);
+    EbrSlot& s = at(slots_, slot_idx);
     s.announce.store(0, std::memory_order_release);
-    seal(s);
-    for (SealedBag& b : s.sealed) b.adopted = true;
+    s.limbo.depart(epoch());
     if (!opt_.leak) {
       try_advance(slot_idx);
       collect_safe(slot_idx, s);
     }
   }
 
+  std::uint64_t epochs_advanced() const override {
+    return epochs_advanced_.load(std::memory_order_relaxed);
+  }
+
  private:
-  EbrSlot& slot(int slot_idx) {
-    const std::size_t i = static_cast<std::size_t>(slot_idx);
-    return slots_[i < slots_.size() ? i : 0];
-  }
-
-  /// Bag size that seals the open bag. The policy answer only moves on
-  /// population beats, so it is cached out of the per-retire path and
-  /// refreshed by on_population_change (the adaptive schedule's only
-  /// input besides the config is the registered population).
-  std::size_t seal_threshold() const {
-    return seal_threshold_.load(std::memory_order_relaxed);
-  }
-
-  std::size_t compute_seal_threshold() const {
-    return std::max<std::size_t>(
-        executor_->schedule().scan_threshold(active_slots()), 1);
-  }
-
-  void seal(EbrSlot& s) {
-    if (s.bag.empty()) return;
-    const std::size_t sealed_size = s.bag.size();
-    s.sealed.push_back(SealedBag{epoch_.load(std::memory_order_relaxed),
-                                 /*adopted=*/false, std::move(s.bag)});
-    s.bag = {};
-    s.bag.reserve(sealed_size);
+  /// The seal stamp: the current global epoch.
+  std::uint64_t epoch() const {
+    return epoch_.load(std::memory_order_relaxed);
   }
 
   /// Hands every bag two epochs behind the global epoch to the executor
   /// (adopted bags through the amortizing adoption path).
   void collect_safe(int slot_idx, EbrSlot& s) {
-    if (s.sealed.empty()) return;
+    if (s.limbo.sealed.empty()) return;
     const std::uint64_t e = epoch_.load(std::memory_order_acquire);
-    while (!s.sealed.empty() && s.sealed.front().epoch + 2 <= e) {
-      executor_->hand_over(slot_idx, s.sealed.front().adopted,
-                           std::move(s.sealed.front().nodes));
-      s.sealed.pop_front();
+    for (SealedBag& b : s.limbo.take_safe(
+             [e](const SealedBag& b) { return b.stamp + 2 <= e; })) {
+      executor().hand_over(slot_idx, b.adopted, std::move(b.nodes));
     }
   }
 
@@ -213,17 +140,13 @@ class EbrReclaimer final : public Reclaimer {
     if (epoch_.compare_exchange_strong(expected, e + 1,
                                        std::memory_order_acq_rel)) {
       epochs_advanced_.fetch_add(1, std::memory_order_relaxed);
-      record_progress_beat(ctx_, slot_idx, e + 1, stats().pending);
+      progress_beat(slot_idx, e + 1);
     }
   }
 
   EbrOptions opt_;
-  SmrContext ctx_;
-  FreeExecutor* executor_;
   std::vector<EbrSlot> slots_;
-  std::atomic<std::size_t> seal_threshold_{1};
   std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<std::uint64_t> retired_{0};
   std::atomic<std::uint64_t> epochs_advanced_{0};
 };
 
@@ -232,7 +155,7 @@ class EbrReclaimer final : public Reclaimer {
 std::unique_ptr<Reclaimer> make_ebr(const EbrOptions& opt,
                                     const SmrContext& ctx,
                                     const SmrConfig& cfg,
-                                    FreeExecutor* executor) {
+                                    FreeExecutor& executor) {
   return std::make_unique<EbrReclaimer>(opt, ctx, cfg, executor);
 }
 

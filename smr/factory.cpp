@@ -53,27 +53,10 @@ ReclaimerBundle make_reclaimer(const std::string& name, const SmrContext& ctx,
   }
 
   // Split off the trailing home-flush marker first ("hp_af_hf" ->
-  // "hp_af" + routing on), then the free-schedule suffix.
-  // SmrConfig::home_flush ("on"/"off", EMR_HOME_FLUSH) overrides the
-  // name-derived setting either way, so one binary can A/B the routing
-  // layer without renaming its reclaimer column.
-  bool hf = false;
-  std::string stem = name;
-  if (ends_with(stem, "_hf")) {
-    hf = true;
-    stem = stem.substr(0, stem.size() - 3);
-  }
-  if (!cfg.home_flush.empty()) {
-    if (cfg.home_flush == "on") {
-      hf = true;
-    } else if (cfg.home_flush == "off") {
-      hf = false;
-    } else {
-      throw std::invalid_argument(
-          "invalid SmrConfig::home_flush: '" + cfg.home_flush +
-          "' (EMR_HOME_FLUSH must be \"on\" or \"off\")");
-    }
-  }
+  // "hp_af" + routing on), then the free-schedule suffix. The name is
+  // the only switch for either.
+  const bool hf = ends_with(name, "_hf");
+  const std::string stem = hf ? name.substr(0, name.size() - 3) : name;
 
   // Suffixed forms of the fixed token variants ("token_naive_af",
   // "token_naive_hf") are not in the name grammar — reject them rather
@@ -102,8 +85,6 @@ ReclaimerBundle make_reclaimer(const std::string& name, const SmrContext& ctx,
   }
 
   ReclaimerBundle bundle;
-  // SmrConfig::schedule ("fixed" | "adaptive", EMR_SCHEDULE) overrides
-  // the suffix-derived kind inside make_free_schedule.
   bundle.schedule = make_free_schedule(sched, cfg);
   bundle.executor = std::make_unique<FreeExecutor>(
       ctx, cfg, bundle.schedule.get(), mode);
@@ -120,24 +101,26 @@ ReclaimerBundle make_reclaimer(const std::string& name, const SmrContext& ctx,
     if (suffix.empty()) {
       topt = {"token", TokenPolicy::kPeriodic};
     } else {
+      // The suffixed forms run token_passfirst's policy; the executor
+      // mode and schedule make the difference.
       topt = {suffix == "_af"         ? "token_af"
               : suffix == "_pool"     ? "token_pool"
               : suffix == "_adaptive" ? "token_adaptive"
                                       : "token_latency",
-              TokenPolicy::kHandOff};
+              TokenPolicy::kPassFirst};
     }
   } else {
     is_token = false;
   }
   if (is_token) {
     bundle.reclaimer =
-        internal::make_token(topt, ctx, cfg, bundle.executor.get());
+        internal::make_token(topt, ctx, cfg, *bundle.executor);
     return bundle;
   }
 
   // Pointer-protecting families, each in its own translation unit.
   if (base == "hp") {
-    bundle.reclaimer = internal::make_hp(ctx, cfg, bundle.executor.get());
+    bundle.reclaimer = internal::make_hp(ctx, cfg, *bundle.executor);
     return bundle;
   }
   if (base == "he" || base == "ibr" || base == "wfe") {
@@ -145,12 +128,12 @@ ReclaimerBundle make_reclaimer(const std::string& name, const SmrContext& ctx,
                                : base == "ibr" ? EraVariant::kInterval
                                                : EraVariant::kWaitFreeEras;
     bundle.reclaimer =
-        internal::make_era(variant, ctx, cfg, bundle.executor.get());
+        internal::make_era(variant, ctx, cfg, *bundle.executor);
     return bundle;
   }
   if (base == "nbr" || base == "nbrplus") {
     bundle.reclaimer = internal::make_nbr(/*plus=*/base == "nbrplus", ctx,
-                                          cfg, bundle.executor.get());
+                                          cfg, *bundle.executor);
     return bundle;
   }
 
@@ -167,7 +150,7 @@ ReclaimerBundle make_reclaimer(const std::string& name, const SmrContext& ctx,
   } else {
     throw std::invalid_argument("unknown reclaimer: " + name);
   }
-  bundle.reclaimer = internal::make_ebr(opt, ctx, cfg, bundle.executor.get());
+  bundle.reclaimer = internal::make_ebr(opt, ctx, cfg, *bundle.executor);
   return bundle;
 }
 

@@ -12,11 +12,12 @@
 // `_latency` suffix (kAmortized under the tail-steered
 // LatencyTargetFreeSchedule — see docs/FREE_SCHEDULES.md and
 // docs/LATENCY.md). `token_af` /
-// `token_pool` / `token_adaptive` / `token_latency` apply to the
-// periodic token variant. Every bundle carries the FreeSchedule policy
-// that answers its batching questions; SmrConfig::schedule
-// (EMR_SCHEDULE) can force `fixed`, `adaptive` or `latency` for any
-// name.
+// `token_pool` / `token_adaptive` / `token_latency` run the
+// pass-first token policy (token_passfirst's) over that executor mode
+// and schedule. An outermost `_hf` suffix arms home-flush routing. Every
+// bundle carries the FreeSchedule policy that answers its batching
+// questions. The name is the only way to choose the mode, the schedule
+// and the routing.
 #pragma once
 
 #include <string>

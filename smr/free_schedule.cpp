@@ -122,19 +122,6 @@ void LatencyTargetFreeSchedule::on_tail_latency(std::uint64_t p999_ns) {
 
 std::unique_ptr<FreeSchedule> make_free_schedule(ScheduleKind kind,
                                                  const SmrConfig& cfg) {
-  if (!cfg.schedule.empty()) {
-    if (cfg.schedule == "fixed") {
-      kind = ScheduleKind::kFixed;
-    } else if (cfg.schedule == "adaptive") {
-      kind = ScheduleKind::kAdaptive;
-    } else if (cfg.schedule == "latency") {
-      kind = ScheduleKind::kLatency;
-    } else {
-      throw std::invalid_argument(
-          "unknown free schedule: '" + cfg.schedule +
-          "' (valid EMR_SCHEDULE values: fixed adaptive latency)");
-    }
-  }
   if (cfg.batch_size == 0) {
     throw std::invalid_argument(
         "invalid SmrConfig::batch_size: 0 (EMR_BATCH must be >= 1)");

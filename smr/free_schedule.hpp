@@ -178,11 +178,10 @@ class LatencyTargetFreeSchedule final : public AdaptiveFreeSchedule {
 };
 
 /// Builds the policy, failing fast (std::invalid_argument naming the
-/// knob) on nonsensical config: batch_size == 0, flush_batch == 0,
-/// drain_min == 0, drain_max < drain_min, or a zero latency_target_us
-/// for the latency policy. `kind` is the factory-name default; SmrConfig::schedule
-/// ("fixed" | "adaptive" | "latency", EMR_SCHEDULE) overrides it, and
-/// any other non-empty value throws.
+/// knob) on nonsensical config: batch_size == 0, af_drain_per_op == 0,
+/// flush_batch == 0, drain_min == 0, drain_max < drain_min, or a zero
+/// latency_target_us for the latency policy. `kind` comes from the
+/// factory name's suffix, the only way to choose a policy.
 std::unique_ptr<FreeSchedule> make_free_schedule(ScheduleKind kind,
                                                  const SmrConfig& cfg);
 

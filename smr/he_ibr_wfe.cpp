@@ -30,15 +30,14 @@
 // batch free; retires a live reservation still covers park in the slot
 // for the next owner (or flush_all).
 //
-// Batching policy: the retire-list scan threshold comes from the
-// FreeSchedule (fixed = the configured batch, adaptive = prorated by
-// the registered population); this TU never reads the config's batching
-// knobs.
+// Batching policy: the retire-list scan threshold is the base's cached
+// FreeSchedule answer (fixed = the configured batch, adaptive = prorated
+// by the registered population); this TU never reads the config's
+// batching knobs.
 #include <algorithm>
 #include <atomic>
 #include <vector>
 
-#include "core/timing.hpp"
 #include "smr/internal.hpp"
 
 namespace emr::smr::internal {
@@ -63,8 +62,7 @@ struct alignas(64) EraThread {
   // Owner-private bookkeeping on its own line: every scan reads every
   // thread's reservations above, and the owner appends to retired on
   // every retire — a shared line would bounce once per scanned slot.
-  alignas(64) std::vector<RetiredNode> retired;
-  std::size_t scan_at = 0;
+  alignas(64) RetireList<RetiredNode> retired;
   std::uint64_t allocs = 0;
 };
 static_assert(alignof(EraThread) == 64 && sizeof(EraThread) % 64 == 0,
@@ -86,32 +84,32 @@ const char* era_variant_name(EraVariant v) {
 class EraReclaimer final : public Reclaimer {
  public:
   EraReclaimer(EraVariant variant, const SmrContext& ctx,
-               const SmrConfig& cfg, FreeExecutor* executor)
-      : Reclaimer(cfg),
+               const SmrConfig& cfg, FreeExecutor& executor)
+      : Reclaimer(ctx, cfg, executor),
         name_(era_variant_name(variant)),
         variant_(variant),
-        ctx_(ctx),
-        executor_(executor),
         // Floor of 2 for the ds/ hand-over-hand slot alternation.
         nslots_(std::max<std::size_t>(cfg.hp_slots, 2)),
         epoch_freq_(std::max<std::size_t>(cfg.epoch_freq, 1)),
         threads_(cfg.slot_capacity()) {
-    const std::size_t threshold = scan_threshold();
     for (EraThread& t : threads_) {
       t.slots = std::make_unique<std::atomic<std::uint64_t>[]>(nslots_);
       for (std::size_t i = 0; i < nslots_; ++i) {
         t.slots[i].store(0, std::memory_order_relaxed);
       }
-      t.retired.reserve(threshold);
-      t.scan_at = threshold;
+      t.retired.arm(threshold());
     }
   }
 
   ~EraReclaimer() override { flush_all(); }
 
+  const char* name() const override { return name_; }
+  const char* family() const override { return "era"; }
+
+ protected:
   void begin_op_slot(int tid) override {
     if (variant_ != EraVariant::kInterval) return;
-    EraThread& t = slot(tid);
+    EraThread& t = at(threads_, tid);
     const std::uint64_t e = era_.load(std::memory_order_acquire);
     t.lower.store(e, std::memory_order_relaxed);
     t.upper.store(e, std::memory_order_seq_cst);
@@ -119,7 +117,7 @@ class EraReclaimer final : public Reclaimer {
   }
 
   void end_op_slot(int tid) override {
-    EraThread& t = slot(tid);
+    EraThread& t = at(threads_, tid);
     switch (variant_) {
       case EraVariant::kInterval:
         t.upper.store(0, std::memory_order_relaxed);
@@ -136,12 +134,11 @@ class EraReclaimer final : public Reclaimer {
         }
         break;
     }
-    executor_->on_op_end(tid);
   }
 
   void* protect_slot(int tid, int idx, LoadFn load,
                      const void* src) override {
-    EraThread& t = slot(tid);
+    EraThread& t = at(threads_, tid);
     switch (variant_) {
       case EraVariant::kInterval: {
         // One announcement store per era move; the common path (era
@@ -163,17 +160,15 @@ class EraReclaimer final : public Reclaimer {
   }
 
   void retire_slot(int tid, void* p) override {
-    EraThread& t = slot(tid);
-    retired_.fetch_add(1, std::memory_order_relaxed);
+    EraThread& t = at(threads_, tid);
     const std::uint64_t e = era_.load(std::memory_order_acquire);
     const std::uint64_t birth = static_cast<const NodeHeader*>(p)->birth_era;
-    t.retired.push_back(RetiredNode{p, birth, e});
-    if (t.retired.size() >= t.scan_at) scan(tid, t);
+    if (t.retired.push(RetiredNode{p, birth, e})) scan(tid, t);
   }
 
   void* alloc_node_slot(int tid, std::size_t size) override {
-    void* p = executor_->alloc_node(tid, size);
-    EraThread& t = slot(tid);
+    void* p = executor().alloc_node(tid, size);
+    EraThread& t = at(threads_, tid);
     // Stamp the intrusive header; pool-recycled nodes are re-stamped here
     // every time they leave limbo through alloc_node.
     static_cast<NodeHeader*>(p)->birth_era =
@@ -182,17 +177,30 @@ class EraReclaimer final : public Reclaimer {
     return p;
   }
 
-  void dealloc_unpublished_slot(int tid, void* p) override {
-    ctx_.allocator->deallocate(tid, p);
-  }
-
   /// Departure: every reservation the thread published drops (a vacated
   /// slot can never pin an era interval), then one scan drains whatever
   /// no remaining reservation covers — through the executor's adoption
   /// path, at the schedule's quota per op; survivors park for the
   /// successor.
   void on_slot_deregister(int tid) override {
-    EraThread& t = slot(tid);
+    EraThread& t = at(threads_, tid);
+    clear_reservations(t);
+    if (!t.retired.empty()) scan(tid, t, /*departing=*/true);
+  }
+
+  void flush_slot(int tid) override {
+    EraThread& t = at(threads_, tid);
+    clear_reservations(t);
+    executor().hand_over(tid, /*adopted=*/false,
+                         t.retired.take_all(threshold()));
+  }
+
+  std::uint64_t epochs_advanced() const override {
+    return era_.load(std::memory_order_relaxed) - 1;
+  }
+
+ private:
+  void clear_reservations(EraThread& t) {
     t.lower.store(0, std::memory_order_relaxed);
     t.upper.store(0, std::memory_order_relaxed);
     t.open.store(0, std::memory_order_release);
@@ -201,58 +209,6 @@ class EraReclaimer final : public Reclaimer {
         t.slots[i].store(0, std::memory_order_release);
       }
     }
-    if (!t.retired.empty()) scan(tid, t, /*departing=*/true);
-  }
-
-  void flush_all() override {
-    for (EraThread& t : threads_) {
-      t.lower.store(0, std::memory_order_relaxed);
-      t.upper.store(0, std::memory_order_relaxed);
-      t.open.store(0, std::memory_order_relaxed);
-      for (std::size_t i = 0; i < nslots_; ++i) {
-        t.slots[i].store(0, std::memory_order_relaxed);
-      }
-    }
-    const std::size_t threshold = scan_threshold();
-    for (std::size_t i = 0; i < threads_.size(); ++i) {
-      EraThread& t = threads_[i];
-      const int tid = static_cast<int>(i);
-      if (!t.retired.empty()) {
-        std::vector<void*> bag;
-        bag.reserve(t.retired.size());
-        for (const RetiredNode& n : t.retired) bag.push_back(n.p);
-        t.retired.clear();
-        t.scan_at = threshold;
-        executor_->hand_over(tid, /*adopted=*/false, std::move(bag));
-      }
-      executor_->quiesce(tid);
-    }
-  }
-
-  SmrStats stats() const override {
-    SmrStats st;
-    st.retired = retired_.load(std::memory_order_relaxed);
-    st.freed = executor_->total_freed();
-    st.pending = st.retired - st.freed;
-    st.epochs_advanced = era_.load(std::memory_order_relaxed) - 1;
-    return st;
-  }
-
-  FreeExecutor& executor() override { return *executor_; }
-  const char* name() const override { return name_; }
-  const char* family() const override { return "era"; }
-
- private:
-  EraThread& slot(int tid) {
-    const std::size_t i = static_cast<std::size_t>(tid);
-    return threads_[i < threads_.size() ? i : 0];
-  }
-
-  /// Retire-list scan threshold, asked of the free-schedule policy with
-  /// the live population.
-  std::size_t scan_threshold() const {
-    return std::max<std::size_t>(
-        executor_->schedule().scan_threshold(active_slots()), 1);
   }
 
   /// he/wfe read path: publish the current era in the slot, fence, and
@@ -336,36 +292,22 @@ class EraReclaimer final : public Reclaimer {
 
   void scan(int tid, EraThread& t, bool departing = false) {
     const ReservationSnapshot snap = snapshot_reservations();
-    std::vector<void*> bag;
-    std::vector<RetiredNode> keep;
-    bag.reserve(t.retired.size());
-    for (const RetiredNode& n : t.retired) {
-      if (reserved(snap, n)) {
-        keep.push_back(n);
-      } else {
-        bag.push_back(n.p);
-      }
-    }
-    t.retired = std::move(keep);
-    t.scan_at = next_scan_at(scan_threshold(), t.retired.size());
-    if (!bag.empty()) executor_->hand_over(tid, departing, std::move(bag));
+    t.retired.scan(executor(), tid, departing, threshold(),
+                   [&](const RetiredNode& n) { return reserved(snap, n); });
   }
 
   void advance_era(int tid) {
     const std::uint64_t e =
         era_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    record_progress_beat(ctx_, tid, e, stats().pending);
+    progress_beat(tid, e);
   }
 
   const char* name_;
   EraVariant variant_;
-  SmrContext ctx_;
-  FreeExecutor* executor_;
   std::size_t nslots_;
   std::size_t epoch_freq_;
   std::vector<EraThread> threads_;
   std::atomic<std::uint64_t> era_{1};
-  std::atomic<std::uint64_t> retired_{0};
 };
 
 }  // namespace
@@ -373,7 +315,7 @@ class EraReclaimer final : public Reclaimer {
 std::unique_ptr<Reclaimer> make_era(EraVariant variant,
                                     const SmrContext& ctx,
                                     const SmrConfig& cfg,
-                                    FreeExecutor* executor) {
+                                    FreeExecutor& executor) {
   return std::make_unique<EraReclaimer>(variant, ctx, cfg, executor);
 }
 

@@ -16,15 +16,14 @@
 // survivors still hazarded by other threads park in the slot for the
 // next owner's scans (or flush_all).
 //
-// Batching policy: the scan threshold comes from the FreeSchedule
-// (fixed = the configured batch, adaptive = prorated by the registered
-// population), floored at Michael's H+1 bound; this TU never reads the
-// config's batching knobs.
+// Batching policy: the scan threshold is the base's cached FreeSchedule
+// answer (fixed = the configured batch, adaptive = prorated by the
+// registered population), floored at Michael's H+1 bound; this TU never
+// reads the config's batching knobs.
 #include <algorithm>
 #include <atomic>
 #include <vector>
 
-#include "core/timing.hpp"
 #include "smr/internal.hpp"
 
 namespace emr::smr::internal {
@@ -32,86 +31,41 @@ namespace {
 
 struct alignas(64) HpThread {
   std::unique_ptr<std::atomic<void*>[]> slots;
-  std::vector<void*> retired;
-  // Next retired-list size that triggers a scan; grows past the base
-  // threshold while every candidate stays protected so a pinned scan
-  // cannot degenerate into O(n) work per retire.
-  std::size_t scan_at = 0;
+  RetireList<void*> retired;
 };
 
 class HpReclaimer final : public Reclaimer {
  public:
   HpReclaimer(const SmrContext& ctx, const SmrConfig& cfg,
-              FreeExecutor* executor)
-      : Reclaimer(cfg),
-        ctx_(ctx),
-        executor_(executor),
+              FreeExecutor& executor)
+      : Reclaimer(ctx, cfg, executor),
         nlanes_(cfg.slot_capacity()),
         // Floor of 2: the ds/ traversals alternate two slots so the
         // previous hop stays protected while the next one publishes.
         nslots_(std::max<std::size_t>(cfg.hp_slots, 2)),
         threads_(cfg.slot_capacity()) {
-    const std::size_t threshold = scan_threshold();
     for (HpThread& t : threads_) {
       t.slots = std::make_unique<std::atomic<void*>[]>(nslots_);
       for (std::size_t i = 0; i < nslots_; ++i) {
         t.slots[i].store(nullptr, std::memory_order_relaxed);
       }
-      t.retired.reserve(threshold);
-      t.scan_at = threshold;
+      t.retired.arm(scan_threshold());
     }
   }
 
   ~HpReclaimer() override { flush_all(); }
 
-  void flush_all() override {
-    for (HpThread& t : threads_) {
-      for (std::size_t i = 0; i < nslots_; ++i) {
-        t.slots[i].store(nullptr, std::memory_order_relaxed);
-      }
-    }
-    const std::size_t threshold = scan_threshold();
-    for (std::size_t i = 0; i < threads_.size(); ++i) {
-      HpThread& t = threads_[i];
-      const int lane = static_cast<int>(i);
-      if (!t.retired.empty()) {
-        executor_->hand_over(lane, /*adopted=*/false, std::move(t.retired));
-        t.retired = {};
-        t.scan_at = threshold;
-      }
-      executor_->quiesce(lane);
-    }
-  }
-
-  SmrStats stats() const override {
-    SmrStats st;
-    st.retired = retired_.load(std::memory_order_relaxed);
-    st.freed = executor_->total_freed();
-    st.pending = st.retired - st.freed;
-    st.epochs_advanced = scans_.load(std::memory_order_relaxed);
-    return st;
-  }
-
-  FreeExecutor& executor() override { return *executor_; }
   const char* name() const override { return "hp"; }
   const char* family() const override { return "hp"; }
 
  protected:
-  void begin_op_slot(int) override {}
-
   void end_op_slot(int slot_idx) override {
-    HpThread& t = slot(slot_idx);
-    for (std::size_t i = 0; i < nslots_; ++i) {
-      if (t.slots[i].load(std::memory_order_relaxed) != nullptr) {
-        t.slots[i].store(nullptr, std::memory_order_release);
-      }
-    }
-    executor_->on_op_end(slot_idx);
+    clear_hazards(at(threads_, slot_idx));
   }
 
   void* protect_slot(int slot_idx, int idx, LoadFn load,
                      const void* src) override {
-    HpThread& t = slot(slot_idx);
+    HpThread& t = at(threads_, slot_idx);
     std::atomic<void*>& hp =
         t.slots[static_cast<std::size_t>(idx < 0 ? 0 : idx) % nslots_];
     void* p = load(src);
@@ -125,18 +79,15 @@ class HpReclaimer final : public Reclaimer {
   }
 
   void retire_slot(int slot_idx, void* p) override {
-    HpThread& t = slot(slot_idx);
-    retired_.fetch_add(1, std::memory_order_relaxed);
-    t.retired.push_back(p);
-    if (t.retired.size() >= t.scan_at) scan(slot_idx, t);
+    HpThread& t = at(threads_, slot_idx);
+    if (t.retired.push(p)) scan(slot_idx, t);
   }
 
-  void* alloc_node_slot(int slot_idx, std::size_t size) override {
-    return executor_->alloc_node(slot_idx, size);
-  }
-
-  void dealloc_unpublished_slot(int slot_idx, void* p) override {
-    ctx_.allocator->deallocate(slot_idx, p);
+  void flush_slot(int slot_idx) override {
+    HpThread& t = at(threads_, slot_idx);
+    clear_hazards(t);
+    executor().hand_over(slot_idx, /*adopted=*/false,
+                         t.retired.take_all(scan_threshold()));
   }
 
   /// Departure: drop every hazard publication, then one scan hands the
@@ -144,28 +95,29 @@ class HpReclaimer final : public Reclaimer {
   /// the schedule's quota, never one burst); still-hazarded survivors
   /// park in the slot for the successor's scans.
   void on_slot_deregister(int slot_idx) override {
-    HpThread& t = slot(slot_idx);
+    HpThread& t = at(threads_, slot_idx);
+    clear_hazards(t);
+    if (!t.retired.empty()) scan(slot_idx, t, /*departing=*/true);
+  }
+
+  std::uint64_t epochs_advanced() const override {
+    return scans_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  void clear_hazards(HpThread& t) {
     for (std::size_t i = 0; i < nslots_; ++i) {
       if (t.slots[i].load(std::memory_order_relaxed) != nullptr) {
         t.slots[i].store(nullptr, std::memory_order_release);
       }
     }
-    if (!t.retired.empty()) scan(slot_idx, t, /*departing=*/true);
   }
 
- private:
-  HpThread& slot(int slot_idx) {
-    const std::size_t i = static_cast<std::size_t>(slot_idx);
-    return threads_[i < threads_.size() ? i : 0];
-  }
-
-  /// Scan threshold from the free-schedule policy, floored at Michael's
-  /// R bound: a scan can only free anything once the list exceeds the
-  /// total hazard count H = N*K.
+  /// The schedule's threshold floored at Michael's R bound: a scan can
+  /// only free anything once the list exceeds the total hazard count
+  /// H = N*K.
   std::size_t scan_threshold() const {
-    return std::max<std::size_t>(
-        executor_->schedule().scan_threshold(active_slots()),
-        nlanes_ * nslots_ + 1);
+    return std::max<std::size_t>(threshold(), nlanes_ * nslots_ + 1);
   }
 
   /// Snapshot every hazard slot, hand the unprotected retires to the
@@ -180,34 +132,19 @@ class HpReclaimer final : public Reclaimer {
       }
     }
     std::sort(hazards.begin(), hazards.end());
-
-    std::vector<void*> bag;
-    std::vector<void*> keep;
-    bag.reserve(t.retired.size());
-    for (void* p : t.retired) {
-      if (std::binary_search(hazards.begin(), hazards.end(), p)) {
-        keep.push_back(p);
-      } else {
-        bag.push_back(p);
-      }
-    }
-    t.retired = std::move(keep);
-    t.scan_at = next_scan_at(scan_threshold(), t.retired.size());
-
-    scans_.fetch_add(1, std::memory_order_relaxed);
-    const SmrStats st = stats();
-    record_progress_beat(ctx_, slot_idx, st.epochs_advanced, st.pending);
-    if (!bag.empty()) {
-      executor_->hand_over(slot_idx, departing, std::move(bag));
-    }
+    const std::uint64_t beat =
+        scans_.fetch_add(1, std::memory_order_relaxed) + 1;
+    progress_beat(slot_idx, beat);
+    t.retired.scan(executor(), slot_idx, departing, scan_threshold(),
+                   [&](void* p) {
+                     return std::binary_search(hazards.begin(),
+                                               hazards.end(), p);
+                   });
   }
 
-  SmrContext ctx_;
-  FreeExecutor* executor_;
   std::size_t nlanes_;
   std::size_t nslots_;
   std::vector<HpThread> threads_;
-  std::atomic<std::uint64_t> retired_{0};
   std::atomic<std::uint64_t> scans_{0};
 };
 
@@ -215,7 +152,7 @@ class HpReclaimer final : public Reclaimer {
 
 std::unique_ptr<Reclaimer> make_hp(const SmrContext& ctx,
                                    const SmrConfig& cfg,
-                                   FreeExecutor* executor) {
+                                   FreeExecutor& executor) {
   return std::make_unique<HpReclaimer>(ctx, cfg, executor);
 }
 

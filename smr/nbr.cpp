@@ -38,16 +38,15 @@
 // per op — instead of one batch free; neutralize_all already skips
 // slots with no announcement, so vacant slots are never "signalled".
 //
-// Batching policy: the retire-list scan threshold comes from the
-// FreeSchedule (fixed = the configured batch, adaptive = prorated by
-// the registered population); this TU never reads the config's batching
-// knobs.
+// Batching policy: the retire-list scan threshold is the base's cached
+// FreeSchedule answer (fixed = the configured batch, adaptive = prorated
+// by the registered population); this TU never reads the config's
+// batching knobs.
 #include <algorithm>
 #include <atomic>
 #include <limits>
 #include <vector>
 
-#include "core/timing.hpp"
 #include "smr/internal.hpp"
 
 namespace emr::smr::internal {
@@ -66,8 +65,7 @@ struct alignas(64) NbrThread {
   // Owner-private bookkeeping on its own line: scanners read start and
   // write neutralize on every reclaim pass, while the owner appends to
   // retired on every retire — keep the ping-pong off the retire path.
-  alignas(64) std::vector<RetiredNode> retired;
-  std::size_t scan_at = 0;
+  alignas(64) RetireList<RetiredNode> retired;
   std::uint64_t allocs = 0;
 };
 static_assert(alignof(NbrThread) == 64 && sizeof(NbrThread) % 64 == 0,
@@ -77,25 +75,25 @@ static_assert(alignof(NbrThread) == 64 && sizeof(NbrThread) % 64 == 0,
 class NbrReclaimer final : public Reclaimer {
  public:
   NbrReclaimer(bool plus, const SmrContext& ctx, const SmrConfig& cfg,
-               FreeExecutor* executor)
-      : Reclaimer(cfg),
+               FreeExecutor& executor)
+      : Reclaimer(ctx, cfg, executor),
         name_(plus ? "nbrplus" : "nbr"),
         plus_(plus),
-        ctx_(ctx),
-        executor_(executor),
         epoch_freq_(std::max<std::size_t>(cfg.epoch_freq, 1)),
         threads_(cfg.slot_capacity()) {
-    const std::size_t threshold = scan_threshold();
-    for (NbrThread& t : threads_) {
-      t.retired.reserve(threshold);
-      t.scan_at = threshold;
-    }
+    for (NbrThread& t : threads_) t.retired.arm(threshold());
   }
 
   ~NbrReclaimer() override { flush_all(); }
 
+  const char* name() const override { return name_; }
+  const char* family() const override { return "nbr"; }
+
+ protected:
+  // protect_slot stays the base's plain load: the announcement, not a
+  // per-pointer publication, is the shield.
   void begin_op_slot(int tid) override {
-    NbrThread& t = slot(tid);
+    NbrThread& t = at(threads_, tid);
     t.neutralize.store(false, std::memory_order_relaxed);
     t.start.store(era_.load(std::memory_order_acquire),
                   std::memory_order_seq_cst);
@@ -103,17 +101,11 @@ class NbrReclaimer final : public Reclaimer {
   }
 
   void end_op_slot(int tid) override {
-    NbrThread& t = slot(tid);
-    t.start.store(0, std::memory_order_release);
-    executor_->on_op_end(tid);
-  }
-
-  void* protect_slot(int, int, LoadFn load, const void* src) override {
-    return load(src);  // reads are plain; the announcement is the shield
+    at(threads_, tid).start.store(0, std::memory_order_release);
   }
 
   bool validate_slot(int tid) override {
-    NbrThread& t = slot(tid);
+    NbrThread& t = at(threads_, tid);
     if (!t.neutralize.load(std::memory_order_relaxed)) return true;
     // Restart the read block: drop the old announcement and re-enter at
     // the current era (the signal handler's longjmp analogue). Every
@@ -122,32 +114,25 @@ class NbrReclaimer final : public Reclaimer {
     t.start.store(era_.load(std::memory_order_acquire),
                   std::memory_order_seq_cst);
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    neutralized_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
 
   void retire_slot(int tid, void* p) override {
-    NbrThread& t = slot(tid);
-    retired_.fetch_add(1, std::memory_order_relaxed);
-    t.retired.push_back(
-        RetiredNode{p, era_.load(std::memory_order_acquire)});
-    if (t.retired.size() < t.scan_at) return;
+    NbrThread& t = at(threads_, tid);
+    const std::uint64_t e = era_.load(std::memory_order_acquire);
+    if (!t.retired.push(RetiredNode{p, e})) return;
     // nbr neutralizes on every full list; nbrplus lets grace do the work
     // at the low watermark and only signals at twice the threshold.
-    if (!plus_ || t.retired.size() >= 2 * scan_threshold()) {
+    if (!plus_ || t.retired.size() >= 2 * threshold()) {
       neutralize_all(tid);
     }
     scan(tid, t);
   }
 
   void* alloc_node_slot(int tid, std::size_t size) override {
-    NbrThread& t = slot(tid);
+    NbrThread& t = at(threads_, tid);
     if (++t.allocs % epoch_freq_ == 0) advance_era(tid);
-    return executor_->alloc_node(tid, size);
-  }
-
-  void dealloc_unpublished_slot(int tid, void* p) override {
-    ctx_.allocator->deallocate(tid, p);
+    return executor().alloc_node(tid, size);
   }
 
   /// Departure: the announcement drops (a vacated slot never blocks
@@ -155,62 +140,25 @@ class NbrReclaimer final : public Reclaimer {
   /// remaining announcements through the executor's adoption path (at
   /// the schedule's quota per op); the rest parks for the successor.
   void on_slot_deregister(int tid) override {
-    NbrThread& t = slot(tid);
+    NbrThread& t = at(threads_, tid);
     t.start.store(0, std::memory_order_release);
     t.neutralize.store(false, std::memory_order_relaxed);
     if (!t.retired.empty()) scan(tid, t, /*departing=*/true);
   }
 
-  void flush_all() override {
-    for (NbrThread& t : threads_) {
-      t.start.store(0, std::memory_order_relaxed);
-      t.neutralize.store(false, std::memory_order_relaxed);
-    }
-    for (std::size_t i = 0; i < threads_.size(); ++i) {
-      NbrThread& t = threads_[i];
-      const int tid = static_cast<int>(i);
-      if (!t.retired.empty()) {
-        std::vector<void*> bag;
-        bag.reserve(t.retired.size());
-        for (const RetiredNode& n : t.retired) bag.push_back(n.p);
-        t.retired.clear();
-        t.scan_at = scan_threshold();
-        executor_->hand_over(tid, /*adopted=*/false, std::move(bag));
-      }
-      executor_->quiesce(tid);
-    }
+  void flush_slot(int tid) override {
+    NbrThread& t = at(threads_, tid);
+    t.start.store(0, std::memory_order_relaxed);
+    t.neutralize.store(false, std::memory_order_relaxed);
+    executor().hand_over(tid, /*adopted=*/false,
+                         t.retired.take_all(threshold()));
   }
 
-  SmrStats stats() const override {
-    SmrStats st;
-    st.retired = retired_.load(std::memory_order_relaxed);
-    st.freed = executor_->total_freed();
-    st.pending = st.retired - st.freed;
-    st.epochs_advanced = era_.load(std::memory_order_relaxed) - 1;
-    return st;
-  }
-
-  FreeExecutor& executor() override { return *executor_; }
-  const char* name() const override { return name_; }
-  const char* family() const override { return "nbr"; }
-
-  std::uint64_t neutralizations() const {
-    return neutralized_.load(std::memory_order_relaxed);
+  std::uint64_t epochs_advanced() const override {
+    return era_.load(std::memory_order_relaxed) - 1;
   }
 
  private:
-  NbrThread& slot(int tid) {
-    const std::size_t i = static_cast<std::size_t>(tid);
-    return threads_[i < threads_.size() ? i : 0];
-  }
-
-  /// Retire-list scan threshold, asked of the free-schedule policy with
-  /// the live population.
-  std::size_t scan_threshold() const {
-    return std::max<std::size_t>(
-        executor_->schedule().scan_threshold(active_slots()), 1);
-  }
-
   void neutralize_all(int tid) {
     advance_era(tid);
     for (std::size_t i = 0; i < threads_.size(); ++i) {
@@ -230,43 +178,29 @@ class NbrReclaimer final : public Reclaimer {
       const std::uint64_t s = th.start.load(std::memory_order_acquire);
       if (s != 0) min_active = std::min(min_active, s);
     }
-    std::vector<void*> bag;
-    std::vector<RetiredNode> keep;
-    bag.reserve(t.retired.size());
-    for (const RetiredNode& n : t.retired) {
-      if (n.retire < min_active) {
-        bag.push_back(n.p);
-      } else {
-        keep.push_back(n);
-      }
-    }
-    t.retired = std::move(keep);
-    t.scan_at = next_scan_at(scan_threshold(), t.retired.size());
-    if (!bag.empty()) executor_->hand_over(tid, departing, std::move(bag));
+    t.retired.scan(
+        executor(), tid, departing, threshold(),
+        [&](const RetiredNode& n) { return n.retire >= min_active; });
   }
 
   void advance_era(int tid) {
     const std::uint64_t e =
         era_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    record_progress_beat(ctx_, tid, e, stats().pending);
+    progress_beat(tid, e);
   }
 
   const char* name_;
   bool plus_;
-  SmrContext ctx_;
-  FreeExecutor* executor_;
   std::size_t epoch_freq_;
   std::vector<NbrThread> threads_;
   std::atomic<std::uint64_t> era_{1};
-  std::atomic<std::uint64_t> retired_{0};
-  std::atomic<std::uint64_t> neutralized_{0};
 };
 
 }  // namespace
 
 std::unique_ptr<Reclaimer> make_nbr(bool plus, const SmrContext& ctx,
                                     const SmrConfig& cfg,
-                                    FreeExecutor* executor) {
+                                    FreeExecutor& executor) {
   return std::make_unique<NbrReclaimer>(plus, ctx, cfg, executor);
 }
 

@@ -1,13 +1,20 @@
-// Registration-slot registry behind the ThreadHandle API. Registration
-// and release are deliberately coarse (one mutex): they happen at thread
+// The scheme-independent half of every Reclaimer: the registration-slot
+// registry behind the ThreadHandle API, the cached seal/scan threshold,
+// the teardown loop and the stats/instrument plumbing. Registration and
+// release are deliberately coarse (one mutex): they happen at thread
 // birth/death — at most once per churn interval — while the per-op paths
 // stay lock-free and touch only the slot the handle pins.
+#include <algorithm>
+
+#include "core/timing.hpp"
 #include "smr/reclaimer.hpp"
 
 namespace emr::smr {
 
-Reclaimer::Reclaimer(const SmrConfig& cfg)
-    : slot_state_(cfg.slot_capacity()) {
+Reclaimer::Reclaimer(const SmrContext& ctx, const SmrConfig& cfg,
+                     FreeExecutor& executor)
+    : ctx_(ctx), executor_(executor), slot_state_(cfg.slot_capacity()) {
+  refresh_threshold();
   free_slots_.reserve(slot_state_.size());
   // LIFO pop order hands out slot 0 first, matching the dense-tid layout
   // instruments and tests expect for a churn-free population.
@@ -35,8 +42,8 @@ ThreadHandle Reclaimer::register_thread() {
   s.active.store(true, std::memory_order_seq_cst);
   const std::size_t live =
       active_count_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  executor().schedule().on_population(live);
-  on_population_change(live);
+  executor_.schedule().on_population(live);
+  refresh_threshold();
   return ThreadHandle(this, slot, s.generation);
 }
 
@@ -49,15 +56,51 @@ void Reclaimer::deregister(ThreadHandle& h) {
   s.active.store(false, std::memory_order_seq_cst);
   const std::size_t live =
       active_count_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-  executor().schedule().on_population(live);
-  on_population_change(live);
+  executor_.schedule().on_population(live);
+  refresh_threshold();
   on_slot_deregister(slot);
   // After the scheme has parked the slot's bags, splice the departing
   // lane's remote-free stash into its bag queue: a vacant lane runs
   // no ops, so nothing would flush it until the daemon's next sweep, and
   // a daemon-less config would strand the blocks outright.
-  executor().on_lane_released(slot);
+  executor_.on_lane_released(slot);
   free_slots_.push_back(slot);
+}
+
+void Reclaimer::refresh_threshold() {
+  threshold_.store(
+      std::max<std::size_t>(
+          executor_.schedule().scan_threshold(active_slots()), 1),
+      std::memory_order_relaxed);
+}
+
+void Reclaimer::flush_all() {
+  for (std::size_t i = 0; i < slot_state_.size(); ++i) {
+    const int slot = static_cast<int>(i);
+    flush_slot(slot);
+    executor_.quiesce(slot);
+  }
+}
+
+SmrStats Reclaimer::stats() const {
+  SmrStats st;
+  st.retired = retired_.n.load(std::memory_order_relaxed);
+  st.freed = executor_.total_freed();
+  st.pending = st.retired - st.freed;
+  st.epochs_advanced = epochs_advanced();
+  return st;
+}
+
+void Reclaimer::progress_beat(int slot, std::uint64_t beat) const {
+  // Every scheme funnels through here so the cross-scheme timelines and
+  // garbage censuses stay comparable.
+  if (ctx_.timeline != nullptr && ctx_.timeline->enabled()) {
+    const std::uint64_t now = now_ns();
+    ctx_.timeline->record(slot, EventKind::kEpochAdvance, now, now);
+  }
+  if (ctx_.garbage != nullptr && ctx_.garbage->enabled()) {
+    ctx_.garbage->record(beat, stats().pending);
+  }
 }
 
 SmrStats Reclaimer::stats_with_lanes() const {
@@ -72,11 +115,10 @@ SmrStats Reclaimer::stats_with_lanes() const {
   // is live may disagree by in-flight ops — and consumers (JSON
   // emitters, the daemon tick) must treat it as monotone-consistent, not
   // exact.
-  FreeExecutor& ex = const_cast<Reclaimer*>(this)->executor();
   std::vector<LaneStats> lanes;
-  lanes.reserve(ex.lane_count());
-  for (std::size_t i = 0; i < ex.lane_count(); ++i) {
-    lanes.push_back(ex.lane_stats(static_cast<int>(i)));
+  lanes.reserve(executor_.lane_count());
+  for (std::size_t i = 0; i < executor_.lane_count(); ++i) {
+    lanes.push_back(executor_.lane_stats(static_cast<int>(i)));
   }
   SmrStats st = stats();
   st.lanes = std::move(lanes);

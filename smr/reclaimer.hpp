@@ -71,12 +71,6 @@ struct SmrConfig {
   /// bumped once per this many node allocations on any one thread (the
   /// IBR paper's epoch_freq). EMR_EPOCH_FREQ.
   std::size_t epoch_freq = 64;
-  /// Free-schedule policy selection: "" follows the factory name's
-  /// suffix (fixed for plain/_af/_pool names, adaptive for the
-  /// *_adaptive variants, latency for *_latency); "fixed", "adaptive"
-  /// or "latency" forces the choice for any name. Anything else fails
-  /// fast in make_free_schedule. EMR_SCHEDULE.
-  std::string schedule;
   /// Pooling inventory cap per lane; 0 = auto (four batches, floored
   /// at 1024). EMR_POOL_CAP — the env path rejects non-positive values
   /// instead of silently repairing them.
@@ -100,10 +94,6 @@ struct SmrConfig {
   /// stashes (the "too epic" trade-off one layer down). Must be >= 1.
   /// EMR_FLUSH_BATCH.
   std::size_t flush_batch = 64;
-  /// Home-flush routing override: "" follows the factory name (*_hf
-  /// names route, others do not); "on"/"off" forces it for any name.
-  /// Anything else fails fast in make_reclaimer. EMR_HOME_FLUSH.
-  std::string home_flush;
   /// Reclamation tenants sharing this bundle (docs/SERVICE_MODE.md):
   /// the executor keeps per-(lane, tenant) retire/enqueue/drain
   /// counters so one tenant's garbage crowding out another is a
@@ -397,8 +387,8 @@ class FreeExecutor {
   // ---- home-flush routing (docs/FREE_SCHEDULES.md) ----
 
   /// Arms remote-free routing through the per-lane owner stashes. The
-  /// factory flips it once at construction for *_hf names (or under
-  /// the EMR_HOME_FLUSH override); must not change while threads run.
+  /// factory flips it once at construction for *_hf names; must not
+  /// change while threads run.
   void set_home_flush(bool on) { home_flush_ = on; }
   bool home_flush() const { return home_flush_; }
 
@@ -785,6 +775,14 @@ class ThreadHandle {
 ///    and runs again from the destructor.
 ///  - stats() may be called concurrently with operations; counters are
 ///    monotonic and may be momentarily inconsistent with each other.
+///
+/// Skeleton: the base owns everything that happens *after* a scheme
+/// decides a node is safe — the context, the FreeExecutor, the retire
+/// counter, the cached seal/scan threshold, the op-end executor hook,
+/// unpublished-node deallocation and the teardown loop. A scheme
+/// implements only its protocol, through the protected `*_slot` hooks,
+/// `flush_slot`, the slot hand-off hooks and `epochs_advanced`
+/// (docs/SMR_SCHEMES.md tabulates them).
 class Reclaimer {
  public:
   virtual ~Reclaimer() = default;
@@ -799,7 +797,11 @@ class Reclaimer {
   ThreadHandle register_thread();
 
   void begin_op(ThreadHandle& h) { begin_op_slot(check(h)); }
-  void end_op(ThreadHandle& h) { end_op_slot(check(h)); }
+  void end_op(ThreadHandle& h) {
+    const int slot = check(h);
+    end_op_slot(slot);
+    executor_.on_op_end(slot);
+  }
 
   /// Loads a pointer through `load(src)` under this scheme's protection
   /// (hazard-pointer-class schemes publish + fence + validate; epoch
@@ -827,7 +829,8 @@ class Reclaimer {
     const int slot = check(h);
     // Attribute the debt to the lane's current tenant before it enters
     // limbo (a plain branch when single-tenant).
-    executor().note_tenant_retired(slot);
+    executor_.note_tenant_retired(slot);
+    retired_.n.fetch_add(1, std::memory_order_relaxed);
     retire_slot(slot, p);
   }
 
@@ -841,27 +844,29 @@ class Reclaimer {
   /// Returns a node that was never published to the structure (or is
   /// being torn down single-threadedly) straight to the allocator.
   void dealloc_unpublished(ThreadHandle& h, void* p) {
-    dealloc_unpublished_slot(check(h), p);
+    ctx_.allocator->deallocate(check(h), p);
   }
 
   /// Handle-less unpublished-node return for teardown paths that may
   /// run with the slot table exhausted (destructors must not throw).
   /// Uses lane 0; callers guarantee no thread is operating through
   /// this reclaimer — the same single-threaded contract as flush_all().
-  void dealloc_teardown(void* p) { dealloc_unpublished_slot(0, p); }
+  void dealloc_teardown(void* p) { ctx_.allocator->deallocate(0, p); }
 
-  /// Quiesces and frees every retired node. Call only when no thread is
-  /// inside an operation (trial teardown, tests).
-  virtual void flush_all() = 0;
+  /// Quiesces and frees every retired node: each slot's flush_slot hook
+  /// hands over what the slot holds, then the slot's executor lane is
+  /// quiesced. Call only when no thread is inside an operation (trial
+  /// teardown, tests).
+  void flush_all();
 
-  virtual SmrStats stats() const = 0;
+  SmrStats stats() const;
 
   /// stats() plus the executor's per-lane counters (SmrStats::lanes):
   /// one LaneStats per registration slot. Costs a vector allocation —
   /// meant for instruments and traces, not hot paths.
   SmrStats stats_with_lanes() const;
 
-  virtual FreeExecutor& executor() = 0;
+  FreeExecutor& executor() const { return executor_; }
   virtual const char* name() const = 0;
 
   /// Implementation family: "ebr", "token", "hp", "era", or "nbr".
@@ -887,22 +892,32 @@ class Reclaimer {
   }
 
  protected:
-  explicit Reclaimer(const SmrConfig& cfg);
+  Reclaimer(const SmrContext& ctx, const SmrConfig& cfg,
+            FreeExecutor& executor);
 
   // Per-slot entry points the scheme TUs implement. `slot` is the dense
   // lane index the public handle API resolved; one thread drives a slot
   // at a time (the handle contract), distinct slots run concurrently.
-  virtual void begin_op_slot(int slot) = 0;
+  virtual void begin_op_slot(int slot) { (void)slot; }
   virtual void end_op_slot(int slot) = 0;
   virtual void* protect_slot(int slot, int idx, LoadFn load,
-                             const void* src) = 0;
+                             const void* src) {
+    (void)slot;
+    (void)idx;
+    return load(src);  // epoch-class schemes: reads need no publication
+  }
   virtual bool validate_slot(int slot) {
     (void)slot;
     return true;
   }
   virtual void retire_slot(int slot, void* p) = 0;
-  virtual void* alloc_node_slot(int slot, std::size_t size) = 0;
-  virtual void dealloc_unpublished_slot(int slot, void* p) = 0;
+  virtual void* alloc_node_slot(int slot, std::size_t size) {
+    return executor_.alloc_node(slot, size);
+  }
+
+  /// Teardown hook: drop the slot's publications and hand everything it
+  /// still holds to the executor. flush_all() quiesces the lane after.
+  virtual void flush_slot(int slot) = 0;
 
   /// Generation hand-off hooks, run under the registry lock while the
   /// slot is unowned (register: before the slot goes active, so the
@@ -914,18 +929,34 @@ class Reclaimer {
   virtual void on_slot_register(int slot) { (void)slot; }
   virtual void on_slot_deregister(int slot) { (void)slot; }
 
-  /// Population beat, run under the registry lock after active_slots()
-  /// has been updated (register and deregister). Schemes that cache a
-  /// population-derived quantum — the epoch/token families keep their
-  /// bag-seal threshold out of the per-retire path — refresh it here;
-  /// the free schedule receives the same beat via
-  /// FreeSchedule::on_population.
-  virtual void on_population_change(std::size_t live) { (void)live; }
+  /// Scheme-specific progress beat count reported as
+  /// SmrStats::epochs_advanced.
+  virtual std::uint64_t epochs_advanced() const = 0;
+
+  /// The free schedule's seal/scan threshold for the live population,
+  /// floored at 1. Cached out of the per-retire path and refreshed on
+  /// every register/deregister — the only input a shipped schedule's
+  /// scan_threshold reads besides the config.
+  std::size_t threshold() const {
+    return threshold_.load(std::memory_order_relaxed);
+  }
+
+  /// Records one progress beat (epoch advance, token rotation, scan, era
+  /// tick) with the current pending count into the trial instruments.
+  void progress_beat(int slot, std::uint64_t beat) const;
+
+  /// Row `slot` of a per-slot table; slots are always in range.
+  template <typename Table>
+  static auto& at(Table& rows, int slot) {
+    assert(slot >= 0 && static_cast<std::size_t>(slot) < rows.size());
+    return rows[static_cast<std::size_t>(slot)];
+  }
 
  private:
   friend class ThreadHandle;
 
   void deregister(ThreadHandle& h);
+  void refresh_threshold();
 
   int check(const ThreadHandle& h) const {
     if (h.r_ != this) {
@@ -940,10 +971,19 @@ class Reclaimer {
     std::uint64_t generation = 0;
   };
 
+  SmrContext ctx_;
+  FreeExecutor& executor_;
   std::vector<SlotState> slot_state_;
   std::vector<int> free_slots_;  // LIFO: hottest slot is reused first
   std::mutex reg_mu_;
   std::atomic<std::size_t> active_count_{0};
+  std::atomic<std::size_t> threshold_{1};
+  /// Every lane's retire bumps this; its own cache line keeps the
+  /// read-mostly fields above (and the scheme's) off the bouncing line.
+  struct alignas(64) Counter {
+    std::atomic<std::uint64_t> n{0};
+  };
+  Counter retired_;
 };
 
 inline void ThreadHandle::release() {

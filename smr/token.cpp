@@ -13,8 +13,10 @@
 //                     batches (Fig 7).
 //   token           - pass first, free at most one bag per receipt: the
 //                     periodic variant (Fig 8).
-//   token_af        - pass first, hand safe bags to the amortized
-//                     executor: per-op drains, no pile-up (Fig 9).
+//   token_af        - token_passfirst's policy over the amortized
+//                     executor: per-op drains, no pile-up (Fig 9). The
+//                     _pool/_adaptive/_latency forms swap the executor
+//                     mode or schedule the same way.
 //
 // Churn: pass_token routes to the next *active* slot, so a vacated slot
 // is skipped instead of stalling the rotation forever; if the token is
@@ -26,80 +28,39 @@
 // through the executor's adopted hand-over — at the FreeSchedule quota
 // per op — instead of in one burst.
 //
-// Batching policy: the bag-seal threshold comes from the FreeSchedule
-// (fixed = the configured batch, adaptive = prorated by the registered
-// population); this TU never reads the config's batching knobs.
-#include <algorithm>
+// Batching policy: the bag-seal threshold is the base's cached
+// FreeSchedule answer (fixed = the configured batch, adaptive = prorated
+// by the registered population); this TU never reads the config's
+// batching knobs.
 #include <atomic>
-#include <deque>
 #include <mutex>
 #include <vector>
 
-#include "core/timing.hpp"
 #include "smr/internal.hpp"
 
 namespace emr::smr::internal {
 namespace {
 
-struct SealedBag {
-  std::uint64_t pass = 0;
-  bool adopted = false;  // left behind by a departed generation
-  std::vector<void*> nodes;
-};
-
 struct alignas(64) TokenSlot {
   std::mutex mu;  // naive's holder drains other threads' queues
-  std::vector<void*> bag;
-  std::deque<SealedBag> sealed;
+  LimboBags limbo;  // bags stamped with the pass count at their seal
 };
 
 class TokenReclaimer final : public Reclaimer {
  public:
   TokenReclaimer(const TokenOptions& opt, const SmrContext& ctx,
-                 const SmrConfig& cfg, FreeExecutor* executor)
-      : Reclaimer(cfg),
+                 const SmrConfig& cfg, FreeExecutor& executor)
+      : Reclaimer(ctx, cfg, executor),
         opt_(opt),
-        ctx_(ctx),
-        executor_(executor),
         nlanes_(static_cast<int>(cfg.slot_capacity())),
-        slots_(cfg.slot_capacity()) {
-    seal_threshold_.store(compute_seal_threshold(),
-                          std::memory_order_relaxed);
-  }
+        slots_(cfg.slot_capacity()) {}
 
   ~TokenReclaimer() override { flush_all(); }
 
-  void flush_all() override {
-    for (std::size_t t = 0; t < slots_.size(); ++t) {
-      TokenSlot& s = slots_[t];
-      std::lock_guard<std::mutex> lock(s.mu);
-      seal(s);
-      while (!s.sealed.empty()) {
-        executor_->hand_over(static_cast<int>(t), /*adopted=*/false,
-                             std::move(s.sealed.front().nodes));
-        s.sealed.pop_front();
-      }
-      executor_->quiesce(static_cast<int>(t));
-    }
-  }
-
-  SmrStats stats() const override {
-    SmrStats st;
-    st.retired = retired_.load(std::memory_order_relaxed);
-    st.freed = executor_->total_freed();
-    st.pending = st.retired - st.freed;
-    st.epochs_advanced = passes_.load(std::memory_order_relaxed) /
-                         static_cast<std::uint64_t>(nlanes_);
-    return st;
-  }
-
-  FreeExecutor& executor() override { return *executor_; }
   const char* name() const override { return opt_.name; }
   const char* family() const override { return "token"; }
 
  protected:
-  void begin_op_slot(int) override {}
-
   void end_op_slot(int slot_idx) override {
     std::uint64_t word = holder_.load(std::memory_order_acquire);
     if (holder_slot(word) == slot_idx) {
@@ -118,28 +79,24 @@ class TokenReclaimer final : public Reclaimer {
         on_token(slot_idx, adopted);
       }
     }
-    executor_->on_op_end(slot_idx);
-  }
-
-  void* protect_slot(int, int, LoadFn load, const void* src) override {
-    return load(src);  // epoch-class scheme: reads need no publication
   }
 
   void retire_slot(int slot_idx, void* p) override {
-    TokenSlot& s = slot(slot_idx);
-    retired_.fetch_add(1, std::memory_order_relaxed);
-    const std::size_t threshold = seal_threshold();
+    TokenSlot& s = at(slots_, slot_idx);
+    const std::size_t seal_at = threshold();
     std::lock_guard<std::mutex> lock(s.mu);
-    s.bag.push_back(p);
-    if (s.bag.size() >= threshold) seal(s);
+    s.limbo.open.push_back(p);
+    if (s.limbo.open.size() >= seal_at) s.limbo.seal(pass());
   }
 
-  void* alloc_node_slot(int slot_idx, std::size_t size) override {
-    return executor_->alloc_node(slot_idx, size);
+  void flush_slot(int slot_idx) override {
+    TokenSlot& s = at(slots_, slot_idx);
+    std::lock_guard<std::mutex> lock(s.mu);
+    s.limbo.flush(executor(), slot_idx, pass());
   }
 
-  void dealloc_unpublished_slot(int slot_idx, void* p) override {
-    ctx_.allocator->deallocate(slot_idx, p);
+  std::uint64_t epochs_advanced() const override {
+    return pass() / static_cast<std::uint64_t>(nlanes_);
   }
 
   /// Departure: seal, mark every parked bag adopted (so whenever grace
@@ -148,19 +105,13 @@ class TokenReclaimer final : public Reclaimer {
   /// and hand the token onward if this slot holds it (a racing adopter
   /// may win the CAS instead — either way it moves). The hand-off is a
   /// transfer, not a quiesce: passes_ stays put.
-  void on_population_change(std::size_t) override {
-    seal_threshold_.store(compute_seal_threshold(),
-                          std::memory_order_relaxed);
-  }
-
   void on_slot_deregister(int slot_idx) override {
-    TokenSlot& s = slot(slot_idx);
+    TokenSlot& s = at(slots_, slot_idx);
     {
       std::lock_guard<std::mutex> lock(s.mu);
-      seal(s);
-      for (SealedBag& b : s.sealed) b.adopted = true;
+      s.limbo.depart(pass());
     }
-    const std::uint64_t pass_now = passes_.load(std::memory_order_relaxed);
+    const std::uint64_t pass_now = pass();
     for (SealedBag& b : take_safe(s, pass_now, 0)) {
       hand_over(slot_idx, std::move(b));
     }
@@ -173,36 +124,15 @@ class TokenReclaimer final : public Reclaimer {
   }
 
  private:
-  TokenSlot& slot(int slot_idx) {
-    const std::size_t i = static_cast<std::size_t>(slot_idx);
-    return slots_[i < slots_.size() ? i : 0];
-  }
-
-  /// Bag size that seals the open bag. The policy answer only moves on
-  /// population beats, so it is cached out of the per-retire path and
-  /// refreshed by on_population_change.
-  std::size_t seal_threshold() const {
-    return seal_threshold_.load(std::memory_order_relaxed);
-  }
-
-  std::size_t compute_seal_threshold() const {
-    return std::max<std::size_t>(
-        executor_->schedule().scan_threshold(active_slots()), 1);
-  }
-
-  void seal(TokenSlot& s) {
-    if (s.bag.empty()) return;
-    const std::size_t sealed_size = s.bag.size();
-    s.sealed.push_back(SealedBag{passes_.load(std::memory_order_relaxed),
-                                 /*adopted=*/false, std::move(s.bag)});
-    s.bag = {};
-    s.bag.reserve(sealed_size);
+  /// The seal stamp: passes so far.
+  std::uint64_t pass() const {
+    return passes_.load(std::memory_order_relaxed);
   }
 
   /// Routes one safe bag to the executor: adopted bags through the
   /// amortizing adoption path, fresh ones straight to the schedule.
   void hand_over(int slot_idx, SealedBag&& b) {
-    executor_->hand_over(slot_idx, b.adopted, std::move(b.nodes));
+    executor().hand_over(slot_idx, b.adopted, std::move(b.nodes));
   }
 
   /// A bag is safe once 2 * slot_capacity passes have elapsed since its
@@ -211,7 +141,7 @@ class TokenReclaimer final : public Reclaimer {
   /// pass is a quiesce point, and threads registered after the seal are
   /// fresh — they cannot reach a node that was already unlinked.
   bool safe(const SealedBag& b, std::uint64_t pass_now) const {
-    return b.pass + 2 * static_cast<std::uint64_t>(nlanes_) <= pass_now;
+    return b.stamp + 2 * static_cast<std::uint64_t>(nlanes_) <= pass_now;
   }
 
   /// Next registered slot after `from` in ring order; `from` itself when
@@ -251,21 +181,16 @@ class TokenReclaimer final : public Reclaimer {
         passes_.fetch_add(1, std::memory_order_acq_rel) + 1;
     if (p % static_cast<std::uint64_t>(nlanes_) == 0) {
       const std::uint64_t rotation = p / static_cast<std::uint64_t>(nlanes_);
-      record_progress_beat(ctx_, slot_idx, rotation, stats().pending);
+      progress_beat(slot_idx, rotation);
     }
   }
 
   /// Pops up to `max_bags` safe bags from `s` (0 = all).
   std::vector<SealedBag> take_safe(TokenSlot& s, std::uint64_t pass_now,
                                    std::size_t max_bags) {
-    std::vector<SealedBag> out;
     std::lock_guard<std::mutex> lock(s.mu);
-    while (!s.sealed.empty() && safe(s.sealed.front(), pass_now) &&
-           (max_bags == 0 || out.size() < max_bags)) {
-      out.push_back(std::move(s.sealed.front()));
-      s.sealed.pop_front();
-    }
-    return out;
+    return s.limbo.take_safe(
+        [&](const SealedBag& b) { return safe(b, pass_now); }, max_bags);
   }
 
   /// Runs the holder's policy. Frees stay safe even under a stale
@@ -273,7 +198,7 @@ class TokenReclaimer final : public Reclaimer {
   /// admits only bags aged past the passes_-counted grace bound, which
   /// never depends on who currently holds the token.
   void on_token(int slot_idx, std::uint64_t word) {
-    const std::uint64_t pass_now = passes_.load(std::memory_order_relaxed);
+    const std::uint64_t pass_now = pass();
     switch (opt_.policy) {
       case TokenPolicy::kNaive:
         // Serialize: the holder reclaims for everyone, then passes.
@@ -286,19 +211,13 @@ class TokenReclaimer final : public Reclaimer {
         break;
       case TokenPolicy::kPassFirst:
         pass_token(slot_idx, word);
-        for (SealedBag& b : take_safe(slot(slot_idx), pass_now, 0)) {
+        for (SealedBag& b : take_safe(at(slots_, slot_idx), pass_now, 0)) {
           hand_over(slot_idx, std::move(b));
         }
         break;
       case TokenPolicy::kPeriodic:
         pass_token(slot_idx, word);
-        for (SealedBag& b : take_safe(slot(slot_idx), pass_now, 1)) {
-          hand_over(slot_idx, std::move(b));
-        }
-        break;
-      case TokenPolicy::kHandOff:
-        pass_token(slot_idx, word);
-        for (SealedBag& b : take_safe(slot(slot_idx), pass_now, 0)) {
+        for (SealedBag& b : take_safe(at(slots_, slot_idx), pass_now, 1)) {
           hand_over(slot_idx, std::move(b));
         }
         break;
@@ -306,16 +225,12 @@ class TokenReclaimer final : public Reclaimer {
   }
 
   TokenOptions opt_;
-  SmrContext ctx_;
-  FreeExecutor* executor_;
   int nlanes_;
   std::vector<TokenSlot> slots_;
-  std::atomic<std::size_t> seal_threshold_{1};
   // (version << 32) | slot — see holder_word(). Starts at slot 0,
   // version 0.
   std::atomic<std::uint64_t> holder_{0};
   std::atomic<std::uint64_t> passes_{0};
-  std::atomic<std::uint64_t> retired_{0};
 };
 
 }  // namespace
@@ -323,7 +238,7 @@ class TokenReclaimer final : public Reclaimer {
 std::unique_ptr<Reclaimer> make_token(const TokenOptions& opt,
                                       const SmrContext& ctx,
                                       const SmrConfig& cfg,
-                                      FreeExecutor* executor) {
+                                      FreeExecutor& executor) {
   return std::make_unique<TokenReclaimer>(opt, ctx, cfg, executor);
 }
 

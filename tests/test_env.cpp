@@ -202,7 +202,6 @@ TEST(Env, ConfigFromEnvUsesEnv) {
 
 TEST(Env, ScheduleKnobsOverrideAndValidate) {
   EnvGuard env;
-  env.unset("EMR_SCHEDULE");
   env.unset("EMR_DRAIN_MIN");
   env.unset("EMR_DRAIN_MAX");
   env.unset("EMR_POOL_CAP");
@@ -212,43 +211,51 @@ TEST(Env, ScheduleKnobsOverrideAndValidate) {
 
   harness::TrialConfig cfg;
   harness::apply_env_overrides(cfg);
-  EXPECT_EQ(cfg.smr.schedule, "");  // silent env leaves defaults alone
-  EXPECT_EQ(cfg.smr.drain_min, 1u);
+  EXPECT_EQ(cfg.smr.drain_min, 1u);  // silent env leaves defaults alone
   EXPECT_EQ(cfg.smr.drain_max, 64u);
   EXPECT_EQ(cfg.smr.pool_cap, 0u);
   EXPECT_EQ(cfg.smr.extra_slots, 2u);
 
-  env.set("EMR_SCHEDULE", "adaptive");
   env.set("EMR_DRAIN_MIN", "2");
   env.set("EMR_DRAIN_MAX", "128");
   env.set("EMR_POOL_CAP", "4096");
   env.set("EMR_EXTRA_SLOTS", "5");
   harness::apply_env_overrides(cfg);
-  EXPECT_EQ(cfg.smr.schedule, "adaptive");
   EXPECT_EQ(cfg.smr.drain_min, 2u);
   EXPECT_EQ(cfg.smr.drain_max, 128u);
   EXPECT_EQ(cfg.smr.pool_cap, 4096u);
   EXPECT_EQ(cfg.smr.extra_slots, 5u);
 
   // Nonsensical values fail fast instead of being silently repaired:
-  // neither a zero batch/drain quantum nor garbage is clamped or
-  // replaced by the default, and the error names the knob.
-  for (const char* knob : {"EMR_BATCH", "EMR_AF_DRAIN"}) {
-    for (const char* bad : {"0", "-3", "junk"}) {
-      env.set(knob, bad);
-      try {
-        harness::apply_env_overrides(cfg);
-        ADD_FAILURE() << knob << "=" << bad << " must throw";
-      } catch (const std::invalid_argument& e) {
-        EXPECT_NE(std::string(e.what()).find(knob), std::string::npos)
-            << e.what();
-      }
+  // neither a zero count nor garbage is clamped or replaced by the
+  // default, and the error names the knob. EMR_KEYRANGE also refuses a
+  // one-key universe.
+  auto expect_rejected = [&](const char* knob, const char* bad) {
+    env.set(knob, bad);
+    try {
+      harness::apply_env_overrides(cfg);
+      ADD_FAILURE() << knob << "=" << bad << " must throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(knob), std::string::npos)
+          << e.what();
     }
+  };
+  for (const char* knob :
+       {"EMR_BATCH", "EMR_AF_DRAIN", "EMR_MS", "EMR_TRIALS", "EMR_KEYRANGE",
+        "EMR_HP_SLOTS", "EMR_EPOCH_FREQ"}) {
+    for (const char* bad : {"0", "-3", "junk"}) expect_rejected(knob, bad);
     env.set(knob, "16");
   }
+  expect_rejected("EMR_KEYRANGE", "1");
+  env.set("EMR_KEYRANGE", "16");
   harness::apply_env_overrides(cfg);
   EXPECT_EQ(cfg.smr.batch_size, 16u);
   EXPECT_EQ(cfg.smr.af_drain_per_op, 16u);
+  EXPECT_EQ(cfg.measure_ms, 16);
+  EXPECT_EQ(cfg.trials, 16);
+  EXPECT_EQ(cfg.keyrange, 16u);
+  EXPECT_EQ(cfg.smr.hp_slots, 16u);
+  EXPECT_EQ(cfg.smr.epoch_freq, 16u);
   env.set("EMR_POOL_CAP", "0");
   EXPECT_THROW(harness::apply_env_overrides(cfg), std::invalid_argument);
   env.set("EMR_POOL_CAP", "-3");

@@ -1,9 +1,9 @@
 // FreeSchedule layer suite: the fixed policy mirrors the config, the
 // adaptive controller tracks backlog/population and clamps its quantum,
-// nonsensical knob values fail fast naming the knob, EMR_SCHEDULE-style
-// overrides govern any factory name, the pooling cap flows through the
-// policy, and the churn-aware departure drain never frees more than the
-// quota in one op (the adoption-spike regression). The *Concurrent*
+// nonsensical knob values fail fast naming the knob, the factory name's
+// suffix picks the policy, the pooling cap flows through the policy,
+// and the churn-aware departure drain never frees more than the quota
+// in one op (the adoption-spike regression). The *Concurrent*
 // case races lane-stats readers against live lanes — ci/check.sh runs
 // it under TSAN.
 #include <gtest/gtest.h>
@@ -107,14 +107,6 @@ TEST(FreeSchedule, NonsenseFailsFastNamingTheKnob) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("EMR_DRAIN_MAX"),
               std::string::npos);
-  }
-  cfg = {};
-  cfg.schedule = "bogus";
-  try {
-    smr::make_free_schedule(smr::ScheduleKind::kFixed, cfg);
-    FAIL() << "unknown schedule name must throw";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("adaptive"), std::string::npos);
   }
 }
 
@@ -328,29 +320,6 @@ TEST(FreeSchedule, LatencyNamesInTheFactoryGrammar) {
   EXPECT_TRUE(has("token_latency"));
   EXPECT_TRUE(has("nbr_latency"));
   EXPECT_FALSE(has("token_naive_latency"));  // fixed-policy probes only
-}
-
-TEST(FreeSchedule, ScheduleOverrideGovernsAnyName) {
-  smr::SmrConfig cfg = small_config();
-  cfg.schedule = "adaptive";
-  World batch_adaptive("debra", cfg);  // batch executor, adaptive policy
-  EXPECT_STREQ(batch_adaptive.bundle.schedule->name(), "adaptive");
-
-  cfg.schedule = "fixed";
-  World pinned("hp_adaptive", cfg);  // the override beats the suffix
-  EXPECT_STREQ(pinned.bundle.schedule->name(), "fixed");
-
-  cfg.schedule = "latency";
-  World steered("debra_af", cfg);  // any name can run tail-steered
-  EXPECT_STREQ(steered.bundle.schedule->name(), "latency");
-  EXPECT_TRUE(steered.bundle.schedule->wants_latency_feedback());
-
-  cfg.schedule = "bogus";
-  TrackingAllocator allocator;
-  smr::SmrContext ctx;
-  ctx.allocator = &allocator;
-  EXPECT_THROW(smr::make_reclaimer("debra", ctx, cfg),
-               std::invalid_argument);
 }
 
 TEST(FreeSchedule, PopulationFollowsRegistration) {

@@ -1,5 +1,5 @@
 // Home-flush routing suite (docs/FREE_SCHEDULES.md): the _hf factory
-// grammar and the EMR_HOME_FLUSH override, the flush_quota policies,
+// grammar, the flush_quota policies,
 // routed frees landing on the owner's stash and flushing locally with
 // an exact stashed/flushed ledger on the tracking allocator, departure
 // splicing a live stash into the bag queue, the daemon adopting a
@@ -73,7 +73,7 @@ TEST(HomeFlush, HfNamesInTheFactoryGrammar) {
   EXPECT_FALSE(has("token_passfirst_hf"));
 }
 
-TEST(HomeFlush, HfSuffixArmsRoutingAndOverrideWins) {
+TEST(HomeFlush, HfSuffixArmsRouting) {
   World off("debra_af", small_config());
   EXPECT_FALSE(off.ex().home_flush());
   World on("debra_af_hf", small_config());
@@ -84,29 +84,9 @@ TEST(HomeFlush, HfSuffixArmsRoutingAndOverrideWins) {
   EXPECT_TRUE(adaptive.ex().home_flush());
   EXPECT_STREQ(adaptive.bundle.schedule->name(), "adaptive");
 
-  smr::SmrConfig forced_on = small_config();
-  forced_on.home_flush = "on";
-  World forced("debra_af", forced_on);
-  EXPECT_TRUE(forced.ex().home_flush());
-
-  smr::SmrConfig forced_off = small_config();
-  forced_off.home_flush = "off";
-  World muted("debra_af_hf", forced_off);
-  EXPECT_FALSE(muted.ex().home_flush());
-
-  smr::SmrConfig bad = small_config();
-  bad.home_flush = "maybe";
   TrackingAllocator allocator;
   smr::SmrContext ctx;
   ctx.allocator = &allocator;
-  try {
-    smr::make_reclaimer("debra_af", ctx, bad);
-    FAIL() << "invalid home_flush value must throw";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("EMR_HOME_FLUSH"),
-              std::string::npos)
-        << e.what();
-  }
   EXPECT_THROW(smr::make_reclaimer("token_naive_hf", ctx, small_config()),
                std::invalid_argument);
 }

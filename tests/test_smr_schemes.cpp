@@ -102,7 +102,8 @@ TEST_P(SmrSchemeTest, NoFreeWhileProtectedAndAllFreedAtTeardown) {
 
 // Protection slots are per-(tid, idx): releasing one thread's op leaves
 // other retires reclaimable, and repeated protect calls on many slots
-// never confuse the accounting.
+// never confuse the accounting. Every end_op reaches the executor's
+// op-end hook exactly once on its own lane.
 TEST_P(SmrSchemeTest, MultiSlotTraversalAccountsExactly) {
   const std::string name = GetParam();
   SchemeWorld w(name);
@@ -120,12 +121,24 @@ TEST_P(SmrSchemeTest, MultiSlotTraversalAccountsExactly) {
     w.r().begin_op(w.h(1));
     for (void* p : nodes) w.r().retire(w.h(1), p);
     w.r().end_op(w.h(1));
+    // Lane 1 runs two ops per round so a miscounted lane cannot hide.
+    w.r().begin_op(w.h(1));
+    w.r().end_op(w.h(1));
   }
   w.r().flush_all();
-  const smr::SmrStats st = w.r().stats();
+  const smr::SmrStats st = w.r().stats_with_lanes();
   EXPECT_EQ(st.retired, 96u) << name;
   EXPECT_EQ(st.pending, 0u) << name;
   EXPECT_EQ(w.allocator.live(), 0u) << name;
+  ASSERT_EQ(st.lanes.size(), w.r().slot_capacity()) << name;
+  const int slot0 = w.h(0).slot();
+  const int slot1 = w.h(1).slot();
+  for (std::size_t l = 0; l < st.lanes.size(); ++l) {
+    const std::uint64_t want = static_cast<int>(l) == slot0   ? 8u
+                               : static_cast<int>(l) == slot1 ? 16u
+                                                              : 0u;
+    EXPECT_EQ(st.lanes[l].ops, want) << name << " lane " << l;
+  }
 }
 
 // The anti-aliasing check the CI smoke also enforces: every pointer-
