@@ -50,8 +50,9 @@ int main() {
     const FreeCallStats s = collect(trial, cfg.nthreads);
 
     std::printf("\n--- %s (%s free) ---\n", reclaimer,
-                std::string(reclaimer).ends_with("_af") ? "amortized"
-                                                        : "batch");
+                trial.schedule().mode() == smr::FreeMode::kAmortized
+                    ? "amortized"
+                    : "batch");
     std::fputs(
         trial.timeline().render_ascii(EventKind::kFreeCall, 20, 100).c_str(),
         stdout);

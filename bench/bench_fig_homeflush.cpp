@@ -120,8 +120,6 @@ Cell run_cell(const std::string& name, std::size_t flush_batch,
               harness::Table* table) {
   Cell cell;
   harness::TrialConfig cfg;
-  const bool hf =
-      name.size() > 3 && name.compare(name.size() - 3, 3, "_hf") == 0;
   for (int i = 0; i < nseeds; ++i) {
     cfg = smoke_config(name, flush_batch);
     cfg.seed = seeds[i];
@@ -131,6 +129,7 @@ Cell run_cell(const std::string& name, std::size_t flush_batch,
     // have left its stash by teardown (r.stashed/r.flushed are read
     // after flush_all), and a non-hf run must never touch the routing
     // layer.
+    const bool hf = trial.reclaimer().executor().home_flush();
     const bool ledger_ok =
         hf ? (r.stashed == r.flushed && r.stash_backlog_end == 0)
            : (r.stashed == 0 && r.flushed == 0);

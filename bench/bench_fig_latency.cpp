@@ -47,6 +47,7 @@ struct Cell {
   LatencyHistogram ers_hist;
   LatencyHistogram lkp_hist;
   std::string schedule;
+  bool feedback = false;  // the schedule steers by the observed tail
   double mops_sum = 0;
   int runs = 0;
   bool accounted = true;  // ops > 0, pending == 0, empty backlog
@@ -105,6 +106,7 @@ Cell run_cell(const std::string& name, const std::uint64_t* seeds,
                       trial.reclaimer().executor().backlog() == 0;
     cell.accounted &= good;
     cell.schedule = trial.schedule().name();
+    cell.feedback = trial.schedule().wants_latency_feedback();
     cell.penalty_ns = r.remote_penalty_ns;
     cell.clock = r.clock_source;
     cell.pin = r.pin_mode;
@@ -144,9 +146,7 @@ Cell run_cell(const std::string& name, const std::uint64_t* seeds,
          harness::fixed(latency_percentile(cell.lkp_hist, 0.999) / 1000.0,
                         2),
          std::to_string(h.count),
-         std::to_string(name.find("_latency") != std::string::npos
-                            ? kSmokeTargetUs
-                            : 0),
+         std::to_string(cell.feedback ? kSmokeTargetUs : 0),
          std::to_string(cell.penalty_ns), cell.clock, cell.pin});
   }
   return cell;
@@ -254,7 +254,7 @@ int main(int argc, char** argv) {
       cfg.reclaimer = reclaimer_base + suffix;
       harness::Trial trial(cfg);
       const harness::TrialResult r = trial.run();
-      const bool is_latency = std::strcmp(suffix, "_latency") == 0;
+      const bool is_latency = trial.schedule().wants_latency_feedback();
       table.add_row({std::to_string(nthreads), cfg.reclaimer,
                      trial.schedule().name(), harness::fixed(r.mops, 3),
                      harness::fixed(r.lat_p50_ns / 1000.0, 2),

@@ -94,7 +94,7 @@ test -s BENCH_fig_homeflush.json
 SMR_POLICY_CLIENTS=()
 for f in smr/*.cpp smr/*.hpp; do
   case "$f" in
-    smr/free_schedule.cpp | smr/free_schedule.hpp) ;;
+    smr/free_schedule.cpp) ;;
     *) SMR_POLICY_CLIENTS+=("$f") ;;
   esac
 done
@@ -154,6 +154,29 @@ else
   # Without GTest the unit suites (and this race check) don't build;
   # mirror the main build's degrade-with-a-warning behaviour.
   echo "ci/check.sh: GTest not found, skipping the TSAN ds race check"
+fi
+
+# ASAN+UBSAN: the same concurrent stress filters as the TSAN leg, plus
+# the whole smr, scheme, free-schedule and home-flush suites, in a tree
+# that aborts on the first use-after-free, leak, overflow or undefined
+# behaviour report.
+ASAN_DIR="${ASAN_DIR:-build-asan}"
+cmake -B "$ASAN_DIR" -S . -DEMR_SANITIZE=address,undefined \
+      -DEMR_BUILD_BENCHES=OFF
+cmake --build "$ASAN_DIR" -j"$JOBS"
+if [ -x "$ASAN_DIR/test_ds" ]; then
+  export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
+  "$ASAN_DIR/test_ds" --gtest_filter='*Concurrent*'
+  "$ASAN_DIR/test_queue" --gtest_filter='*Concurrent*'
+  "$ASAN_DIR/test_handle_lifecycle" --gtest_filter='*ChurnStress*'
+  "$ASAN_DIR/test_service" --gtest_filter='*DaemonChurn*'
+  "$ASAN_DIR/test_smr_schemes"
+  "$ASAN_DIR/test_smr"
+  "$ASAN_DIR/test_free_schedule"
+  "$ASAN_DIR/test_homeflush"
+  unset UBSAN_OPTIONS
+else
+  echo "ci/check.sh: GTest not found, skipping the ASAN+UBSAN leg"
 fi
 
 # Real-allocator leg: an EMR_REAL_ALLOC=ON tree routes the bare

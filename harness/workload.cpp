@@ -75,8 +75,8 @@ void apply_env_overrides(TrialConfig& cfg) {
         positive_env("EMR_DRAIN_MIN", "the adaptive drain quantum's floor");
   }
   if (env_has("EMR_DRAIN_MAX")) {
-    // drain_max < drain_min fails in make_free_schedule naming both
-    // knobs.
+    // drain_max < drain_min fails in the FreeSchedule constructor
+    // naming both knobs.
     cfg.smr.drain_max =
         positive_env("EMR_DRAIN_MAX", "the adaptive drain quantum's ceiling");
   }
@@ -120,8 +120,8 @@ void apply_env_overrides(TrialConfig& cfg) {
     cfg.alloc.remote_penalty_explicit = true;
   }
   if (env_has("EMR_TCACHE_CAP")) {
-    cfg.alloc.tcache_cap = static_cast<std::size_t>(std::max<std::uint64_t>(
-        env_u64("EMR_TCACHE_CAP", cfg.alloc.tcache_cap), 1));
+    cfg.alloc.tcache_cap = positive_env(
+        "EMR_TCACHE_CAP", "blocks per size class in a thread cache");
   }
   if (env_has("EMR_FLUSH_FRACTION")) {
     cfg.alloc.flush_fraction =
@@ -642,7 +642,7 @@ TrialResult Trial::run() {
   // the measured window. A latency-feedback schedule forces it on —
   // the controller is open-loop without the signal. Channels split the
   // service tail by op kind (insert/erase/lookup).
-  const bool want_feedback = bundle_.schedule->wants_latency_feedback();
+  const bool want_feedback = schedule().wants_latency_feedback();
   const bool record_lat = cfg_.enable_latency || want_feedback;
   latency_.reset(lanes, Op::kNumKinds, record_lat);
   // Queueing delay (service start minus scheduled arrival) only exists
@@ -962,7 +962,7 @@ TrialResult Trial::run() {
     const int sample_ms = cfg_.schedule_sample_ms;  // validated >= 1
     sampler = std::thread([&, sample_ms] {
       smr::FreeExecutor& ex = bundle_.reclaimer->executor();
-      smr::FreeSchedule& sched = *bundle_.schedule;
+      smr::FreeSchedule& sched = ex.schedule();
       while (!stop.load(std::memory_order_relaxed)) {
         if (want_feedback) {
           // The window-cumulative p99.9: deliberately conservative —

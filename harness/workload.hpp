@@ -358,7 +358,7 @@ class Trial {
   LatencyRecorder& latency() { return latency_; }
   LatencyRecorder& queue_latency() { return queue_latency_; }
   smr::Reclaimer& reclaimer() { return *bundle_.reclaimer; }
-  smr::FreeSchedule& schedule() { return *bundle_.schedule; }
+  smr::FreeSchedule& schedule() { return reclaimer().executor().schedule(); }
   alloc::Allocator& allocator() { return *allocator_; }
   /// Tenant 0's structure (the only one single-tenant). Only valid for
   /// the set workload — pipeline trials build a queue instead.

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "smr/free_schedule.hpp"
 #include "smr/internal.hpp"
 
 namespace emr::smr {
@@ -13,6 +12,18 @@ using internal::EbrOptions;
 using internal::EraVariant;
 using internal::TokenOptions;
 using internal::TokenPolicy;
+
+/// The schedule suffix grammar, spelled once: each suffix picks one
+/// FreeMode (and so the executor's behaviour and its schedule).
+struct Suffix {
+  const char* text;
+  FreeMode mode;
+};
+constexpr Suffix kSuffixes[] = {{"", FreeMode::kBatch},
+                                {"_af", FreeMode::kAmortized},
+                                {"_pool", FreeMode::kPool},
+                                {"_adaptive", FreeMode::kAdaptive},
+                                {"_latency", FreeMode::kLatency}};
 
 bool ends_with(const std::string& s, const std::string& suffix) {
   return s.size() > suffix.size() &&
@@ -32,15 +43,12 @@ std::string reclaimer_base_name(const std::string& name) {
   // suffixable form (hp_hf, hp_af_hf, token_latency_hf), so strip it
   // before the schedule suffix.
   std::string rest = name;
-  if (ends_with(rest, "_hf")) rest = rest.substr(0, rest.size() - 3);
-  if (takes_suffix(rest)) {
-    if (ends_with(rest, "_af")) return rest.substr(0, rest.size() - 3);
-    if (ends_with(rest, "_pool")) return rest.substr(0, rest.size() - 5);
-    if (ends_with(rest, "_adaptive")) {
-      return rest.substr(0, rest.size() - 9);
-    }
-    if (ends_with(rest, "_latency")) {
-      return rest.substr(0, rest.size() - 8);
+  if (ends_with(rest, "_hf")) rest.resize(rest.size() - 3);
+  if (!takes_suffix(rest)) return rest;
+  for (const Suffix& sfx : kSuffixes) {
+    const std::string text = sfx.text;
+    if (!text.empty() && ends_with(rest, text)) {
+      return rest.substr(0, rest.size() - text.size());
     }
   }
   return rest;
@@ -66,28 +74,14 @@ ReclaimerBundle make_reclaimer(const std::string& name, const SmrContext& ctx,
     throw std::invalid_argument("unknown reclaimer: " + name);
   }
   const std::string suffix = stem.substr(base.size());
-  FreeMode mode = FreeMode::kBatch;
-  ScheduleKind sched = ScheduleKind::kFixed;
-  if (suffix == "_af") {
-    mode = FreeMode::kAmortized;
-  } else if (suffix == "_pool") {
-    mode = FreeMode::kPool;
-  } else if (suffix == "_adaptive") {
-    // The adaptive variants amortize like _af, but the drain quantum and
-    // seal/scan thresholds come from the population-aware controller.
-    mode = FreeMode::kAmortized;
-    sched = ScheduleKind::kAdaptive;
-  } else if (suffix == "_latency") {
-    // Amortized too, quantum steered by the observed per-op tail (the
-    // driver pumps p99.9 through FreeSchedule::on_tail_latency).
-    mode = FreeMode::kAmortized;
-    sched = ScheduleKind::kLatency;
+  const Suffix* sfx = nullptr;
+  for (const Suffix& s : kSuffixes) {
+    if (suffix == s.text) sfx = &s;
   }
+  if (sfx == nullptr) throw std::invalid_argument("unknown reclaimer: " + name);
 
   ReclaimerBundle bundle;
-  bundle.schedule = make_free_schedule(sched, cfg);
-  bundle.executor = std::make_unique<FreeExecutor>(
-      ctx, cfg, bundle.schedule.get(), mode);
+  bundle.executor = std::make_unique<FreeExecutor>(ctx, cfg, sfx->mode);
   bundle.executor->set_home_flush(hf);
 
   // Token family.
@@ -98,17 +92,10 @@ ReclaimerBundle make_reclaimer(const std::string& name, const SmrContext& ctx,
   } else if (base == "token_passfirst") {
     topt = {"token_passfirst", TokenPolicy::kPassFirst};
   } else if (base == "token") {
-    if (suffix.empty()) {
-      topt = {"token", TokenPolicy::kPeriodic};
-    } else {
-      // The suffixed forms run token_passfirst's policy; the executor
-      // mode and schedule make the difference.
-      topt = {suffix == "_af"         ? "token_af"
-              : suffix == "_pool"     ? "token_pool"
-              : suffix == "_adaptive" ? "token_adaptive"
-                                      : "token_latency",
-              TokenPolicy::kPassFirst};
-    }
+    // The suffixed forms run token_passfirst's policy; the executor
+    // mode makes the difference.
+    topt = {"token" + suffix,
+            suffix.empty() ? TokenPolicy::kPeriodic : TokenPolicy::kPassFirst};
   } else {
     is_token = false;
   }
@@ -173,15 +160,14 @@ const std::vector<std::string>& all_factory_names() {
   static const std::vector<std::string> kNames = [] {
     std::vector<std::string> names;
     for (const std::string& base : reclaimer_names()) {
-      names.push_back(base);
-      if (!takes_suffix(base)) continue;
-      names.push_back(base + "_af");
-      names.push_back(base + "_pool");
-      names.push_back(base + "_adaptive");
-      names.push_back(base + "_latency");
+      if (!takes_suffix(base)) {
+        names.push_back(base);
+        continue;
+      }
+      for (const Suffix& sfx : kSuffixes) names.push_back(base + sfx.text);
       // Home-flush twin of every suffixable form.
-      for (const char* sfx : {"", "_af", "_pool", "_adaptive", "_latency"}) {
-        names.push_back(base + sfx + "_hf");
+      for (const Suffix& sfx : kSuffixes) {
+        names.push_back(base + sfx.text + "_hf");
       }
     }
     return names;

@@ -3,21 +3,18 @@
 //   none | qsbr | rcu | debra | hp | he | ibr | wfe | nbr | nbrplus
 //   token_naive | token_passfirst | token
 //
-// Every bundle carries one FreeExecutor; the suffix picks its FreeMode
-// and schedule. A plain name frees each fresh bag whole (FreeMode::
-// kBatch, the paper's ORIG). Any base name takes an `_af` suffix
-// (kAmortized: asynchronous per-op free, the paper's fix), a `_pool`
-// suffix (kPool: object pooling), an `_adaptive` suffix (kAmortized
-// under the population-aware AdaptiveFreeSchedule controller), or a
-// `_latency` suffix (kAmortized under the tail-steered
-// LatencyTargetFreeSchedule — see docs/FREE_SCHEDULES.md and
-// docs/LATENCY.md). `token_af` /
-// `token_pool` / `token_adaptive` / `token_latency` run the
-// pass-first token policy (token_passfirst's) over that executor mode
-// and schedule. An outermost `_hf` suffix arms home-flush routing. Every
-// bundle carries the FreeSchedule policy that answers its batching
-// questions. The name is the only way to choose the mode, the schedule
-// and the routing.
+// Every bundle carries one FreeExecutor, and the suffix picks its
+// FreeMode, which also keys the executor's FreeSchedule. A plain name
+// frees each fresh bag whole (kBatch, the paper's ORIG). Any base name
+// takes an `_af` suffix (kAmortized: asynchronous per-op free, the
+// paper's fix), a `_pool` suffix (kPool: object pooling), an
+// `_adaptive` suffix (kAdaptive: amortized under the population-aware
+// controller), or a `_latency` suffix (kLatency: the adaptive
+// controller steered by the observed tail — see docs/FREE_SCHEDULES.md
+// and docs/LATENCY.md). `token_af` / `token_pool` / `token_adaptive` /
+// `token_latency` run the pass-first token policy (token_passfirst's)
+// over that mode. An outermost `_hf` suffix arms home-flush routing.
+// The name is the only way to choose the mode and the routing.
 #pragma once
 
 #include <string>

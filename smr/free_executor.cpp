@@ -1,7 +1,8 @@
 // The single FreeExecutor (declared in smr/reclaimer.hpp). Every mode
 // shares one per-lane FIFO of handed-over bags and one drain routine;
-// the mode decides only whether a fresh bag skips the queue (kBatch)
-// and whether alloc_node recycles from it (kPool).
+// the mode, read from the executor's schedule, decides only whether a
+// fresh bag skips the queue (kBatch) and whether alloc_node recycles
+// from it (kPool).
 #include <algorithm>
 #include <limits>
 
@@ -15,15 +16,13 @@ constexpr std::size_t kAll = std::numeric_limits<std::size_t>::max();
 }  // namespace
 
 FreeExecutor::FreeExecutor(const SmrContext& ctx, const SmrConfig& cfg,
-                           FreeSchedule* schedule, FreeMode mode)
+                           FreeMode mode)
     : ctx_(ctx),
-      schedule_(schedule),
-      mode_(mode),
-      stats_hungry_(schedule->consumes_lane_stats()),
       tenants_(cfg.tenants < 1 ? 1 : cfg.tenants),
       multi_tenant_(tenants_ > 1),
       lanes_(cfg.slot_capacity()),
-      stash_(cfg.slot_capacity()) {
+      stash_(cfg.slot_capacity()),
+      schedule_(mode, cfg) {
   if (multi_tenant_) {
     // Value-initialized atomic grids: every counter starts at zero.
     const std::size_t cells =
@@ -38,7 +37,7 @@ FreeExecutor::FreeExecutor(const SmrContext& ctx, const SmrConfig& cfg,
 }
 
 void* FreeExecutor::alloc_node(int lane, std::size_t size) {
-  if (mode_ == FreeMode::kPool) {
+  if (schedule_.mode() == FreeMode::kPool) {
     // Trials use one node size; recycle only for that size and fall
     // back to the allocator for anything else.
     LaneState& l = lane_at(lane);
@@ -82,7 +81,7 @@ void FreeExecutor::hand_over(int lane, bool adopted,
   if (adopted) l.adopted_total.fetch_add(n, std::memory_order_relaxed);
   const std::uint32_t tenant = lane_tenant(lane);
   note_tenant(tenant_enqueued_, lane, tenant, n);
-  if (mode_ == FreeMode::kBatch && !adopted) {
+  if (schedule_.mode() == FreeMode::kBatch && !adopted) {
     // The whole bag is freed on the spot: it enters and leaves the
     // tenant's books in one step.
     note_tenant(tenant_drained_, lane, tenant, n);
@@ -136,8 +135,8 @@ void FreeExecutor::on_op_end(int lane) {
   l.ops.fetch_add(1, std::memory_order_relaxed);
   const std::size_t floor = queue_floor();
   if (l.backlog.load(std::memory_order_relaxed) > floor) {
-    const std::size_t quota = schedule_->drain_quota(quota_stats(lane));
-    const std::uint64_t t0 = stats_hungry_ ? now_ns() : 0;
+    const std::size_t quota = schedule_.drain_quota(quota_stats(lane));
+    const std::uint64_t t0 = schedule_.adaptive() ? now_ns() : 0;
     note_drain_time(l, t0, drain(lane, quota, floor, lane, /*route=*/true));
   }
   maybe_flush_stash(lane);
@@ -174,7 +173,7 @@ std::size_t FreeExecutor::daemon_drain(int lane, std::size_t quota,
 
 void FreeExecutor::note_drain_time(LaneState& l, std::uint64_t t0,
                                    std::size_t n) {
-  if (!stats_hungry_) return;
+  if (!schedule_.adaptive()) return;
   l.drain_ns.fetch_add(now_ns() - t0, std::memory_order_relaxed);
   l.timed_drained.fetch_add(n, std::memory_order_relaxed);
 }
@@ -232,7 +231,7 @@ std::size_t FreeExecutor::drain_stash(int lane, std::size_t quota,
     return 0;
   }
   LaneState& l = lane_at(lane);
-  const std::uint64_t t0 = stats_hungry_ ? now_ns() : 0;
+  const std::uint64_t t0 = schedule_.adaptive() ? now_ns() : 0;
   std::size_t n = 0;
   {
     const auto lock = lock_lane(l);
@@ -266,7 +265,7 @@ void FreeExecutor::maybe_flush_stash(int lane) {
           std::memory_order_relaxed) == 0) {
     return;
   }
-  drain_stash(lane, schedule_->flush_quota(quota_stats(lane)), lane);
+  drain_stash(lane, schedule_.flush_quota(quota_stats(lane)), lane);
 }
 
 void FreeExecutor::on_lane_released(int lane) {

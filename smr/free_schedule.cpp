@@ -1,8 +1,12 @@
-#include "smr/free_schedule.hpp"
-
+// FreeSchedule (declared in smr/reclaimer.hpp): the one place in smr/
+// that reads the config's batching knobs. Executors and scheme TUs
+// consult the schedule (ci/check.sh greps to keep it that way — and the
+// same grep keeps latency counters out of the scheme TUs).
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+
+#include "smr/reclaimer.hpp"
 
 namespace emr::smr {
 
@@ -26,16 +30,16 @@ std::size_t auto_pool_cap(const SmrConfig& cfg) {
   return std::max<std::size_t>(cfg.batch_size * 4, 1024);
 }
 
+void require(bool ok, const std::string& what) {
+  if (!ok) throw std::invalid_argument(what);
+}
+
 }  // namespace
 
-FixedFreeSchedule::FixedFreeSchedule(const SmrConfig& cfg)
-    : drain_(cfg.af_drain_per_op),
+FreeSchedule::FreeSchedule(FreeMode mode, const SmrConfig& cfg)
+    : mode_(mode),
+      drain_(cfg.af_drain_per_op),
       batch_(cfg.batch_size),
-      pool_cap_(auto_pool_cap(cfg)),
-      flush_batch_(cfg.flush_batch) {}
-
-AdaptiveFreeSchedule::AdaptiveFreeSchedule(const SmrConfig& cfg)
-    : batch_(cfg.batch_size),
       capacity_(cfg.slot_capacity()),
       base_threads_(
           static_cast<std::size_t>(cfg.num_threads < 1 ? 1
@@ -43,15 +47,45 @@ AdaptiveFreeSchedule::AdaptiveFreeSchedule(const SmrConfig& cfg)
       drain_min_(cfg.drain_min),
       drain_max_(cfg.drain_max),
       pool_cap_(auto_pool_cap(cfg)),
-      flush_batch_(cfg.flush_batch) {}
+      flush_batch_(cfg.flush_batch),
+      target_ns_(cfg.latency_target_us * 1000) {
+  require(cfg.batch_size != 0,
+          "invalid SmrConfig::batch_size: 0 (EMR_BATCH must be >= 1)");
+  require(cfg.af_drain_per_op != 0,
+          "invalid SmrConfig::af_drain_per_op: 0 (EMR_AF_DRAIN must be "
+          ">= 1)");
+  require(cfg.flush_batch != 0,
+          "invalid SmrConfig::flush_batch: 0 (EMR_FLUSH_BATCH must be >= 1)");
+  require(cfg.drain_min != 0,
+          "invalid SmrConfig::drain_min: 0 (EMR_DRAIN_MIN must be >= 1)");
+  require(cfg.drain_max >= cfg.drain_min,
+          "invalid drain clamp: drain_max=" + std::to_string(cfg.drain_max) +
+              " < drain_min=" + std::to_string(cfg.drain_min) +
+              " (EMR_DRAIN_MAX must be >= EMR_DRAIN_MIN)");
+  require(mode != FreeMode::kLatency || cfg.latency_target_us != 0,
+          "invalid SmrConfig::latency_target_us: 0 (EMR_LATENCY_TARGET_US "
+          "must be >= 1 microsecond for the latency schedule)");
+}
 
-std::size_t AdaptiveFreeSchedule::drain_quota(const LaneStats& lane) const {
-  if (lane.backlog == 0) return drain_min();
-  const std::size_t pop =
-      std::max<std::size_t>(population_.load(std::memory_order_relaxed), 1);
-  const std::size_t horizon =
-      std::max<std::size_t>(kDrainHorizonOps * base_threads_ / pop, 1);
-  std::size_t quota = static_cast<std::size_t>(lane.backlog) / horizon + 1;
+const char* FreeSchedule::name() const {
+  switch (mode_) {
+    case FreeMode::kAdaptive:
+      return "adaptive";
+    case FreeMode::kLatency:
+      return "latency";
+    default:
+      return "fixed";
+  }
+}
+
+std::size_t FreeSchedule::horizon() const {
+  const std::size_t pop = std::max<std::size_t>(population(), 1);
+  return std::max<std::size_t>(kDrainHorizonOps * base_threads_ / pop, 1);
+}
+
+std::size_t FreeSchedule::adaptive_drain(const LaneStats& lane) const {
+  if (lane.backlog == 0) return drain_min_;
+  std::size_t quota = static_cast<std::size_t>(lane.backlog) / horizon() + 1;
   // timed_drained, not drained: only clocked drain bursts feed
   // drain_ns, while drained also counts pool recycles and batch
   // whole-bag frees that would dilute the ns-per-free estimate and
@@ -62,22 +96,30 @@ std::size_t AdaptiveFreeSchedule::drain_quota(const LaneStats& lane) const {
     quota = std::min<std::size_t>(
         quota, static_cast<std::size_t>(kMaxDrainNsPerOp / ns_per_free) + 1);
   }
-  return std::clamp(quota, drain_min(), drain_max());
+  return std::clamp(quota, drain_min_, drain_max_);
 }
 
-std::size_t AdaptiveFreeSchedule::flush_quota(const LaneStats& lane) const {
-  if (lane.stash_backlog == 0) return 1;
-  const std::size_t pop =
-      std::max<std::size_t>(population_.load(std::memory_order_relaxed), 1);
-  const std::size_t horizon =
-      std::max<std::size_t>(kDrainHorizonOps * base_threads_ / pop, 1);
+std::size_t FreeSchedule::flush_quota(const LaneStats& lane) const {
+  if (!adaptive()) return flush_batch_;
   const std::size_t quota =
-      static_cast<std::size_t>(lane.stash_backlog) / horizon + 1;
-  return std::clamp<std::size_t>(quota, 1, flush_batch_);
+      lane.stash_backlog == 0
+          ? 1
+          : static_cast<std::size_t>(lane.stash_backlog) / horizon() + 1;
+  return scaled(std::min(quota, flush_batch_), 1, flush_batch_);
 }
 
-std::size_t AdaptiveFreeSchedule::scan_threshold(
-    std::size_t population) const {
+std::size_t FreeSchedule::daemon_quota(const LaneStats& lane,
+                                       bool pressure) const {
+  if (adaptive()) {
+    const std::size_t q = adaptive_drain(lane);
+    return pressure ? q * 8 : q * 2;
+  }
+  if (pressure) return batch_;
+  return std::max(drain_, batch_ / 8);
+}
+
+std::size_t FreeSchedule::scan_threshold(std::size_t population) const {
+  if (!adaptive()) return batch_;
   // Prorate the configured batch by the live fraction of the slot
   // table: the configured EMR_BATCH buys its amortization when every
   // slot is producing garbage, but a half-empty table reaches the same
@@ -88,74 +130,19 @@ std::size_t AdaptiveFreeSchedule::scan_threshold(
   return std::max<std::size_t>(batch_ * pop / capacity_, 1);
 }
 
-LatencyTargetFreeSchedule::LatencyTargetFreeSchedule(const SmrConfig& cfg)
-    : AdaptiveFreeSchedule(cfg),
-      target_ns_(cfg.latency_target_us * 1000) {}
-
-std::size_t LatencyTargetFreeSchedule::drain_quota(
-    const LaneStats& lane) const {
-  const std::size_t base = AdaptiveFreeSchedule::drain_quota(lane);
-  const std::size_t s = scale_.load(std::memory_order_relaxed);
-  return std::clamp(base * s / kScaleUnit, drain_min(), drain_max());
-}
-
-std::size_t LatencyTargetFreeSchedule::flush_quota(
-    const LaneStats& lane) const {
-  const std::size_t base = AdaptiveFreeSchedule::flush_quota(lane);
-  const std::size_t s = scale_.load(std::memory_order_relaxed);
-  return std::clamp<std::size_t>(base * s / kScaleUnit, 1, flush_batch());
-}
-
-void LatencyTargetFreeSchedule::on_tail_latency(std::uint64_t p999_ns) {
+void FreeSchedule::on_tail_latency(std::uint64_t p999_ns) {
+  if (mode_ != FreeMode::kLatency) return;
   last_p999_.store(p999_ns, std::memory_order_relaxed);
-  // Single writer (the driver's sampler thread): plain load-modify-store
+  // Single writer (the harness sampler thread): plain load-modify-store
   // on the relaxed atomic is race-free; concurrent drain_quota readers
   // see either scale.
-  std::size_t s = scale_.load(std::memory_order_relaxed);
+  std::size_t s = scale();
   if (p999_ns > target_ns_) {
     s = std::max(s / 2, kScaleMin);
   } else if (p999_ns * 4 < target_ns_ * 3) {
     s = std::min(s + s / 4 + 1, kScaleMax);
   }
   scale_.store(s, std::memory_order_relaxed);
-}
-
-std::unique_ptr<FreeSchedule> make_free_schedule(ScheduleKind kind,
-                                                 const SmrConfig& cfg) {
-  if (cfg.batch_size == 0) {
-    throw std::invalid_argument(
-        "invalid SmrConfig::batch_size: 0 (EMR_BATCH must be >= 1)");
-  }
-  if (cfg.af_drain_per_op == 0) {
-    throw std::invalid_argument(
-        "invalid SmrConfig::af_drain_per_op: 0 (EMR_AF_DRAIN must be >= 1)");
-  }
-  if (cfg.flush_batch == 0) {
-    throw std::invalid_argument(
-        "invalid SmrConfig::flush_batch: 0 (EMR_FLUSH_BATCH must be >= 1)");
-  }
-  if (cfg.drain_min == 0) {
-    throw std::invalid_argument(
-        "invalid SmrConfig::drain_min: 0 (EMR_DRAIN_MIN must be >= 1)");
-  }
-  if (cfg.drain_max < cfg.drain_min) {
-    throw std::invalid_argument(
-        "invalid drain clamp: drain_max=" + std::to_string(cfg.drain_max) +
-        " < drain_min=" + std::to_string(cfg.drain_min) +
-        " (EMR_DRAIN_MAX must be >= EMR_DRAIN_MIN)");
-  }
-  if (kind == ScheduleKind::kLatency) {
-    if (cfg.latency_target_us == 0) {
-      throw std::invalid_argument(
-          "invalid SmrConfig::latency_target_us: 0 (EMR_LATENCY_TARGET_US "
-          "must be >= 1 microsecond for the latency schedule)");
-    }
-    return std::make_unique<LatencyTargetFreeSchedule>(cfg);
-  }
-  if (kind == ScheduleKind::kAdaptive) {
-    return std::make_unique<AdaptiveFreeSchedule>(cfg);
-  }
-  return std::make_unique<FixedFreeSchedule>(cfg);
 }
 
 }  // namespace emr::smr

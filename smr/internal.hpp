@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "smr/reclaimer.hpp"
@@ -161,7 +162,7 @@ enum class TokenPolicy {
 };
 
 struct TokenOptions {
-  const char* name = "token";
+  std::string name = "token";
   TokenPolicy policy = TokenPolicy::kPeriodic;
 };
 

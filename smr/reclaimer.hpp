@@ -21,6 +21,7 @@
 //   smr/nbr.cpp        - neutralization-based: nbr, nbrplus
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstddef>
@@ -84,7 +85,7 @@ struct SmrConfig {
   /// names, EMR_LATENCY_TARGET_US): when the observed per-op p99.9
   /// overshoots this many microseconds the schedule shrinks its drain
   /// quantum, and relaxes it again while the tail sits comfortably
-  /// under. Must be >= 1 for the latency schedule; other policies
+  /// under. Must be >= 1 for the latency schedule; other modes
   /// ignore it.
   std::uint64_t latency_target_us = 1000;
   /// Home-flush routing (docs/FREE_SCHEDULES.md): ceiling on how many
@@ -145,10 +146,9 @@ struct LaneStats {
   /// ns spent inside amortized drain bursts, and the node count those
   /// clocked bursts freed — the denominator for a ns-per-free estimate
   /// (`drained` also counts pool recycles and batch whole-bag frees,
-  /// which are never clocked and would dilute it). Tracked only for
-  /// policies that consume lane stats
-  /// (FreeSchedule::consumes_lane_stats); constant-quantum schedules
-  /// skip the clock reads and leave both 0.
+  /// which are never clocked and would dilute it). Tracked only under
+  /// an adaptive schedule (FreeSchedule::adaptive); the fixed schedule
+  /// skips the clock reads and leaves both 0.
   std::uint64_t drain_ns = 0;
   std::uint64_t timed_drained = 0;
   /// Home-flush routing (docs/FREE_SCHEDULES.md). `stashed` counts
@@ -183,87 +183,166 @@ struct TenantStats {
   std::uint64_t backlog = 0;
 };
 
-/// Free-schedule policy: every batching decision in the retire->free
-/// pipeline is answered here instead of by raw SmrConfig constants —
-/// how many queued nodes the executor frees at one op end,
-/// how large a limbo bag / retire list may grow before it seals or
-/// scans, and how much inventory a kPool executor keeps. Executors
-/// and scheme TUs *ask* the policy; only the policy implementations
-/// (smr/free_schedule.cpp) read the config's batching knobs. See
-/// docs/FREE_SCHEDULES.md for the contract and the shipped policies
-/// (fixed mirrors the config; adaptive is a population-aware feedback
-/// controller).
+/// How the executor turns safe bags into allocator traffic and how its
+/// schedule sizes every quantum — the one decision the paper varies.
+/// One value per factory-name suffix:
+///   kBatch     - plain names: a fresh bag is freed whole at hand-over
+///                (the classical EBR behaviour the paper shows is
+///                harmful).
+///   kAmortized - _af: every bag is queued and each op end frees at most
+///                af_drain_per_op (the paper's asynchronous-free fix).
+///   kPool      - _pool: queued like kAmortized, but alloc_node recycles
+///                from the queue first (section 3.3 pooling) and the op
+///                end only trims what exceeds the pool cap.
+///   kAdaptive  - _adaptive: amortized, with the drain quantum and the
+///                seal/scan threshold sized by the population-aware
+///                controller.
+///   kLatency   - _latency: kAdaptive with the op-path quanta scaled by
+///                the observed per-op tail.
+enum class FreeMode { kBatch, kAmortized, kPool, kAdaptive, kLatency };
+
+/// Free schedule: every batching decision in the retire->free pipeline
+/// is answered here instead of by raw SmrConfig constants — how many
+/// queued nodes the executor frees at one op end, how large a limbo bag
+/// / retire list may grow before it seals or scans, and how much
+/// inventory a kPool executor keeps. Executors and scheme TUs *ask* the
+/// schedule; only its constructor (smr/free_schedule.cpp) reads the
+/// config's batching knobs. docs/FREE_SCHEDULES.md has the contract.
 ///
-/// Thread model: drain_quota/scan_threshold/pool_cap are called
-/// concurrently from every lane and must be safe on shared state;
-/// on_population is called under the registration lock.
+/// kBatch, kAmortized and kPool run the *fixed* schedule: every quantum
+/// mirrors a config constant, whoever is registered. kAdaptive and
+/// kLatency run the *adaptive* controller: the seal/scan threshold is
+/// the configured batch prorated by the live fraction of the slot table,
+/// and the drain quantum tracks each lane's backlog against a drain
+/// horizon that tightens as the registered population grows, capped by
+/// the lane's measured ns-per-free so one op never stalls on a slow
+/// allocator path. kLatency multiplies the op-path quanta by a tail
+/// scale (fixed-point, kScaleUnit == 1.0) that the harness steers
+/// through on_tail_latency:
+///
+///   p99.9 > target          -> scale halves   (back off hard: the
+///                              drain bursts are what stalls the tail)
+///   p99.9 < 3/4 * target    -> scale grows 25% (relax gently while
+///                              there is headroom, so backlog drains)
+///
+/// The scale is floored well above zero — a latency target can shrink
+/// the quantum to drain_min but never stop reclamation entirely, so
+/// backlog stays bounded even under an unreachable target.
+///
+/// Thread model: the quanta are read concurrently from every lane, the
+/// daemon and the sampler; on_population runs under the registration
+/// lock and on_tail_latency on the one sampler thread. The mutable
+/// state is relaxed atomics.
 class FreeSchedule {
  public:
-  virtual ~FreeSchedule() = default;
-  virtual const char* name() const = 0;
+  static constexpr std::size_t kScaleUnit = 1024;  // fixed-point 1.0
+  static constexpr std::size_t kScaleMin = 16;     // 1/64th of adaptive
+  static constexpr std::size_t kScaleMax = 4 * kScaleUnit;
 
-  /// Nodes an amortizing drain may free at one op end on this lane.
-  /// The executor treats the result as a hard per-op ceiling.
-  virtual std::size_t drain_quota(const LaneStats& lane) const = 0;
+  /// Fails fast (std::invalid_argument naming the knob) on nonsensical
+  /// config: batch_size == 0, af_drain_per_op == 0, flush_batch == 0,
+  /// drain_min == 0, drain_max < drain_min, or a zero latency_target_us
+  /// under kLatency.
+  FreeSchedule(FreeMode mode, const SmrConfig& cfg);
+
+  FreeMode mode() const { return mode_; }
+
+  /// "fixed", "adaptive" or "latency" — the snapshots' schedule column.
+  const char* name() const;
+
+  /// True for the controller modes, the only ones whose quanta read
+  /// LaneStats: the executor builds the per-op stats snapshot and clocks
+  /// its drains only then (drain_ns stays 0 under the fixed schedule).
+  bool adaptive() const {
+    return mode_ == FreeMode::kAdaptive || mode_ == FreeMode::kLatency;
+  }
+
+  /// True when the schedule consumes on_tail_latency. The harness then
+  /// arms the per-op latency recorder and the feedback pump even for
+  /// trials that did not ask for latency measurement — a latency-target
+  /// schedule without the signal would silently run open-loop.
+  bool wants_latency_feedback() const { return mode_ == FreeMode::kLatency; }
+
+  /// Nodes an amortizing drain may free at one op end on this lane. The
+  /// executor treats the result as a hard per-op ceiling.
+  std::size_t drain_quota(const LaneStats& lane) const {
+    return adaptive() ? scaled(adaptive_drain(lane), drain_min_, drain_max_)
+                      : drain_;
+  }
+
+  /// Home-flush quantum: how many blocks parked in this lane's
+  /// remote-free stash the owner may flush locally at one op end, a hard
+  /// per-op ceiling like drain_quota. Fixed: EMR_FLUSH_BATCH. Adaptive:
+  /// the stash backlog over the drain horizon, clamped to
+  /// [1, EMR_FLUSH_BATCH] — no ns-per-free cap, because flushed blocks
+  /// take the cheap local path. kLatency scales it like drain_quota but
+  /// floors it at 1: a stash that stops draining strands remote blocks.
+  std::size_t flush_quota(const LaneStats& lane) const;
+
+  /// Nodes one background-reclaimer tick may free from this lane
+  /// (smr/reclaimer_daemon.hpp). Fixed: the per-op quantum is tiny, so a
+  /// tick may swallow one sealed bag under pressure and a slice of one
+  /// when merely quiet. Adaptive: the *unscaled* adaptive quantum x2, x8
+  /// under pressure — the tail scale keeps bursts off the op path, and a
+  /// tick runs off it.
+  std::size_t daemon_quota(const LaneStats& lane, bool pressure) const;
 
   /// Bag size that seals a limbo bag (epoch/token families) or retire
   /// list size that triggers a scan (hp/he/ibr/wfe/nbr), given the
   /// number of currently registered threads. Schemes may floor the
   /// result (hp applies Michael's H+1 bound) but never exceed it.
-  virtual std::size_t scan_threshold(std::size_t population) const = 0;
+  std::size_t scan_threshold(std::size_t population) const;
 
   /// A kPool executor's per-lane inventory cap.
-  virtual std::size_t pool_cap() const = 0;
+  std::size_t pool_cap() const { return pool_cap_; }
 
   /// Population beat: the number of live ThreadHandles, pushed by the
   /// owning reclaimer after every register/deregister.
-  virtual void on_population(std::size_t n) { (void)n; }
-
-  /// Tail-latency beat: the driver measuring per-op latency (the
-  /// harness sampler) pushes the current merged p99.9 here every
-  /// sample period. Policies that steer by observed tail latency react;
-  /// the default ignores the signal. Called from the sampler thread
-  /// concurrently with drain_quota — implementations keep the state in
-  /// relaxed atomics.
-  virtual void on_tail_latency(std::uint64_t p999_ns) { (void)p999_ns; }
-
-  /// True when this policy consumes on_tail_latency. The harness uses
-  /// it to arm the per-op latency recorder and the feedback pump even
-  /// for trials that did not ask for latency measurement — a
-  /// latency-target schedule without the signal would silently run
-  /// open-loop.
-  virtual bool wants_latency_feedback() const { return false; }
-
-  /// Whether drain_quota() actually reads its LaneStats argument.
-  /// Policies with a constant quantum return false so the executor can
-  /// skip the per-op stats snapshot and the drain-cost clock reads on
-  /// the hot path (drain_ns then stays zero).
-  virtual bool consumes_lane_stats() const { return true; }
-
-  /// Home-flush quantum: how many blocks parked in this lane's
-  /// remote-free stash the owner may flush locally at one op end
-  /// (docs/FREE_SCHEDULES.md). Like drain_quota it is a hard per-op
-  /// ceiling; unlike drain_quota the work is all-local frees, so
-  /// policies may afford a larger quantum. Called concurrently from
-  /// every lane (and the daemon) like drain_quota. The default is a
-  /// modest constant so third-party policies keep working; the shipped
-  /// policies derive it from SmrConfig::flush_batch.
-  virtual std::size_t flush_quota(const LaneStats& lane) const {
-    (void)lane;
-    return 64;
+  void on_population(std::size_t n) {
+    population_.store(n, std::memory_order_relaxed);
+  }
+  std::size_t population() const {
+    return population_.load(std::memory_order_relaxed);
   }
 
-  /// Nodes one background-reclaimer tick may free from this lane
-  /// (smr/reclaimer_daemon.hpp). The daemon runs off the op path, so
-  /// its quantum may exceed the per-op ceiling: the default scales the
-  /// op quota — gently when the system is merely quiet, harder under
-  /// backlog pressure. Called from the daemon thread concurrently with
-  /// drain_quota.
-  virtual std::size_t daemon_quota(const LaneStats& lane,
-                                   bool pressure) const {
-    const std::size_t q = drain_quota(lane);
-    return pressure ? q * 8 : q * 2;
+  /// Tail-latency beat: the harness sampler pushes the merged p99.9
+  /// here every sample period. Steers the scale under kLatency; a
+  /// no-op for every other mode.
+  void on_tail_latency(std::uint64_t p999_ns);
+
+  std::uint64_t target_ns() const { return target_ns_; }
+  /// Current multiplier on the adaptive quantum, in 1/kScaleUnit units.
+  std::size_t scale() const { return scale_.load(std::memory_order_relaxed); }
+  /// Last p99.9 the harness sampler pushed (0 before the first beat).
+  std::uint64_t last_p999_ns() const {
+    return last_p999_.load(std::memory_order_relaxed);
   }
+
+ private:
+  /// The controller's unscaled drain quantum, in [drain_min, drain_max].
+  std::size_t adaptive_drain(const LaneStats& lane) const;
+  /// Ops over which the controller aims to clear a lane's backlog.
+  std::size_t horizon() const;
+  /// `q` under the tail scale, clamped to [lo, hi]. At the unit scale
+  /// (every mode but a steered kLatency) `q` is returned as is.
+  std::size_t scaled(std::size_t q, std::size_t lo, std::size_t hi) const {
+    const std::size_t s = scale();
+    return s == kScaleUnit ? q : std::clamp(q * s / kScaleUnit, lo, hi);
+  }
+
+  FreeMode mode_;
+  std::size_t drain_;         // af_drain_per_op
+  std::size_t batch_;
+  std::size_t capacity_;      // slot_capacity(): full-table batch scale
+  std::size_t base_threads_;  // configured steady-state population
+  std::size_t drain_min_;
+  std::size_t drain_max_;
+  std::size_t pool_cap_;
+  std::size_t flush_batch_;
+  std::uint64_t target_ns_;
+  std::atomic<std::size_t> population_{0};
+  std::atomic<std::size_t> scale_{kScaleUnit};
+  std::atomic<std::uint64_t> last_p999_{0};
 };
 
 struct SmrStats {
@@ -280,24 +359,11 @@ struct SmrStats {
   std::vector<LaneStats> lanes;
 };
 
-/// How the executor turns safe bags into allocator traffic — the one
-/// decision the paper varies. The factory picks it from the name suffix.
-///   kBatch     - plain names: a fresh bag is freed whole at hand-over
-///                (the classical EBR behaviour the paper shows is
-///                harmful).
-///   kAmortized - _af/_adaptive/_latency: every bag is queued and each
-///                op end frees at most the schedule's drain quota (the
-///                paper's asynchronous-free fix).
-///   kPool      - _pool: queued like kAmortized, but alloc_node recycles
-///                from the queue first (section 3.3 pooling) and the op
-///                end only trims what exceeds the schedule's pool cap.
-enum class FreeMode { kBatch, kAmortized, kPool };
-
 /// The free executor: the reclaimer hands bags of safe-to-reclaim nodes
 /// here, and the executor turns them into allocator traffic according
 /// to its FreeMode. *How much* to free at a time is not the executor's
-/// call: every quantum comes from the FreeSchedule policy it is
-/// constructed over.
+/// call: every quantum comes from the FreeSchedule it owns, built from
+/// the same mode.
 ///
 /// Each lane keeps one FIFO of handed-over bags. A bag is queued whole
 /// (the vector moves in, no per-node copy) with a read cursor and the
@@ -349,8 +415,9 @@ enum class FreeMode { kBatch, kAmortized, kPool };
 ///    instruction-identical to pre-routing builds.
 class FreeExecutor {
  public:
-  FreeExecutor(const SmrContext& ctx, const SmrConfig& cfg,
-               FreeSchedule* schedule, FreeMode mode);
+  /// Builds the executor and its schedule; throws what the FreeSchedule
+  /// constructor throws on nonsensical config.
+  FreeExecutor(const SmrContext& ctx, const SmrConfig& cfg, FreeMode mode);
 
   /// Serves a node allocation. Under kPool it recycles the oldest
   /// queued node when one of the trial's node size is waiting; every
@@ -421,8 +488,10 @@ class FreeExecutor {
     return sum(lanes_, &LaneState::backlog) + total_stash_backlog();
   }
 
-  /// The policy every quantum is sourced from.
-  FreeSchedule& schedule() const { return *schedule_; }
+  /// The schedule every quantum is sourced from; its mode() is this
+  /// executor's.
+  FreeSchedule& schedule() { return schedule_; }
+  const FreeSchedule& schedule() const { return schedule_; }
 
   /// Snapshot of one lane's counters. Readable from any thread.
   LaneStats lane_stats(int lane) const;
@@ -569,7 +638,7 @@ class FreeExecutor {
   /// Queue nodes a drain must leave in place: the pool cap under kPool
   /// (recycling inventory), 0 otherwise.
   std::size_t queue_floor() const {
-    return mode_ == FreeMode::kPool ? schedule_->pool_cap() : 0;
+    return schedule_.mode() == FreeMode::kPool ? schedule_.pool_cap() : 0;
   }
 
   /// Takes the front node off the lane's queue and books it drained
@@ -619,8 +688,8 @@ class FreeExecutor {
   void maybe_flush_stash(int lane);
 
   /// Books a clocked op-end drain burst (started at `t0`, `n` nodes)
-  /// into the lane's drain_ns/timed_drained — only for schedules that
-  /// consume lane stats; the others never read the clock.
+  /// into the lane's drain_ns/timed_drained — only for adaptive
+  /// schedules; the fixed one never reads the clock.
   void note_drain_time(LaneState& l, std::uint64_t t0, std::size_t n);
 
   std::size_t tenant_cell(int lane, std::uint32_t tenant) const {
@@ -645,16 +714,12 @@ class FreeExecutor {
   }
 
   /// The lane snapshot a schedule quantum is computed from. Built only
-  /// when the policy consumes it, so constant-quantum schedules cost
-  /// one virtual call per op.
+  /// for adaptive schedules; the fixed quanta ignore it.
   LaneStats quota_stats(int lane) const {
-    return stats_hungry_ ? lane_stats(lane) : LaneStats{};
+    return schedule_.adaptive() ? lane_stats(lane) : LaneStats{};
   }
 
   SmrContext ctx_;
-  FreeSchedule* schedule_;
-  FreeMode mode_;
-  bool stats_hungry_;  // schedule_->consumes_lane_stats(), cached
   int tenants_;
   bool multi_tenant_;
   bool daemon_hooked_ = false;
@@ -668,7 +733,11 @@ class FreeExecutor {
   std::atomic<bool> teardown_{false};
   std::vector<LaneState> lanes_;
   std::vector<RemoteStash> stash_;
-  std::atomic<std::uint64_t> freed_{0};
+  FreeSchedule schedule_;
+  /// Every lane's free bumps this; its own cache line keeps the fields
+  /// every op reads (lanes_, the routing flags, the mode) off the
+  /// bouncing line.
+  alignas(64) std::atomic<std::uint64_t> freed_{0};
   /// kPool: the node size recycling serves (the first size requested —
   /// trials use one node size) and how many allocations it served.
   std::atomic<std::size_t> common_size_{0};
@@ -995,11 +1064,9 @@ inline void ThreadHandle::release() {
 }
 
 /// make_reclaimer's result. Destruction order matters: the reclaimer
-/// flushes through the executor and the executor asks the schedule for
-/// quanta, so the schedule is declared first (destroyed last), then the
-/// executor, then the reclaimer.
+/// flushes through the executor (which owns the schedule), so the
+/// executor is declared first and destroyed last.
 struct ReclaimerBundle {
-  std::unique_ptr<FreeSchedule> schedule;
   std::unique_ptr<FreeExecutor> executor;
   std::unique_ptr<Reclaimer> reclaimer;
 };

@@ -57,7 +57,7 @@ class TokenReclaimer final : public Reclaimer {
 
   ~TokenReclaimer() override { flush_all(); }
 
-  const char* name() const override { return opt_.name; }
+  const char* name() const override { return opt_.name.c_str(); }
   const char* family() const override { return "token"; }
 
  protected:

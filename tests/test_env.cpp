@@ -242,7 +242,8 @@ TEST(Env, ScheduleKnobsOverrideAndValidate) {
   };
   for (const char* knob :
        {"EMR_BATCH", "EMR_AF_DRAIN", "EMR_MS", "EMR_TRIALS", "EMR_KEYRANGE",
-        "EMR_HP_SLOTS", "EMR_EPOCH_FREQ"}) {
+        "EMR_HP_SLOTS", "EMR_EPOCH_FREQ", "EMR_TCACHE_CAP",
+        "EMR_FLUSH_BATCH"}) {
     for (const char* bad : {"0", "-3", "junk"}) expect_rejected(knob, bad);
     env.set(knob, "16");
   }
@@ -256,6 +257,8 @@ TEST(Env, ScheduleKnobsOverrideAndValidate) {
   EXPECT_EQ(cfg.keyrange, 16u);
   EXPECT_EQ(cfg.smr.hp_slots, 16u);
   EXPECT_EQ(cfg.smr.epoch_freq, 16u);
+  EXPECT_EQ(cfg.alloc.tcache_cap, 16u);
+  EXPECT_EQ(cfg.smr.flush_batch, 16u);
   env.set("EMR_POOL_CAP", "0");
   EXPECT_THROW(harness::apply_env_overrides(cfg), std::invalid_argument);
   env.set("EMR_POOL_CAP", "-3");

@@ -1,20 +1,20 @@
-// FreeSchedule layer suite: the fixed policy mirrors the config, the
+// FreeSchedule layer suite: the fixed schedule mirrors the config, the
 // adaptive controller tracks backlog/population and clamps its quantum,
-// nonsensical knob values fail fast naming the knob, the factory name's
-// suffix picks the policy, the pooling cap flows through the policy,
-// and the churn-aware departure drain never frees more than the quota
-// in one op (the adoption-spike regression). The *Concurrent*
+// nonsensical knob values fail fast naming the knob, every factory
+// name's suffix picks its mode, the pooling cap flows through the
+// schedule, and the churn-aware departure drain never frees more than
+// the quota in one op (the adoption-spike regression). The *Concurrent*
 // case races lane-stats readers against live lanes — ci/check.sh runs
 // it under TSAN.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "smr/factory.hpp"
-#include "smr/free_schedule.hpp"
 #include "tests/tracking_allocator.hpp"
 
 namespace {
@@ -35,6 +35,7 @@ struct World {
   }
 
   smr::Reclaimer& r() { return *bundle.reclaimer; }
+  smr::FreeSchedule& schedule() { return bundle.executor->schedule(); }
 };
 
 smr::SmrConfig small_config(std::size_t batch = 8, std::size_t drain = 4) {
@@ -52,22 +53,20 @@ TEST(FreeSchedule, FixedMirrorsTheConfig) {
   smr::SmrConfig cfg;
   cfg.batch_size = 128;
   cfg.af_drain_per_op = 7;
-  auto sched = smr::make_free_schedule(smr::ScheduleKind::kFixed, cfg);
-  EXPECT_STREQ(sched->name(), "fixed");
+  smr::FreeSchedule sched(smr::FreeMode::kAmortized, cfg);
+  EXPECT_STREQ(sched.name(), "fixed");
   smr::LaneStats huge;
   huge.backlog = 1 << 20;
-  EXPECT_EQ(sched->drain_quota(huge), 7u);       // backlog is ignored
-  EXPECT_EQ(sched->scan_threshold(0), 128u);     // population is ignored
-  EXPECT_EQ(sched->scan_threshold(999), 128u);
-  EXPECT_EQ(sched->pool_cap(), 1024u);  // auto: max(4 * batch, 1024)
+  EXPECT_EQ(sched.drain_quota(huge), 7u);    // backlog is ignored
+  EXPECT_EQ(sched.scan_threshold(0), 128u);  // population is ignored
+  EXPECT_EQ(sched.scan_threshold(999), 128u);
+  EXPECT_EQ(sched.pool_cap(), 1024u);  // auto: max(4 * batch, 1024)
 
   cfg.batch_size = 4096;
-  EXPECT_EQ(smr::make_free_schedule(smr::ScheduleKind::kFixed, cfg)
-                ->pool_cap(),
+  EXPECT_EQ(smr::FreeSchedule(smr::FreeMode::kAmortized, cfg).pool_cap(),
             16384u);
   cfg.pool_cap = 77;  // explicit cap wins over the auto formula
-  EXPECT_EQ(smr::make_free_schedule(smr::ScheduleKind::kFixed, cfg)
-                ->pool_cap(),
+  EXPECT_EQ(smr::FreeSchedule(smr::FreeMode::kAmortized, cfg).pool_cap(),
             77u);
 }
 
@@ -75,19 +74,19 @@ TEST(FreeSchedule, NonsenseFailsFastNamingTheKnob) {
   smr::SmrConfig cfg;
   cfg.batch_size = 0;
   try {
-    smr::make_free_schedule(smr::ScheduleKind::kFixed, cfg);
+    smr::FreeSchedule(smr::FreeMode::kAmortized, cfg);
     FAIL() << "batch_size == 0 must throw";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("EMR_BATCH"), std::string::npos);
   }
   // A zero drain quantum is rejected, not repaired to 1 — for every
   // policy, so a config that names it fails the same way everywhere.
-  for (const smr::ScheduleKind kind :
-       {smr::ScheduleKind::kFixed, smr::ScheduleKind::kAdaptive}) {
+  for (const smr::FreeMode mode :
+       {smr::FreeMode::kAmortized, smr::FreeMode::kAdaptive}) {
     cfg = {};
     cfg.af_drain_per_op = 0;
     try {
-      smr::make_free_schedule(kind, cfg);
+      smr::FreeSchedule(mode, cfg);
       FAIL() << "af_drain_per_op == 0 must throw";
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find("EMR_AF_DRAIN"),
@@ -96,13 +95,13 @@ TEST(FreeSchedule, NonsenseFailsFastNamingTheKnob) {
   }
   cfg = {};
   cfg.drain_min = 0;
-  EXPECT_THROW(smr::make_free_schedule(smr::ScheduleKind::kAdaptive, cfg),
+  EXPECT_THROW(smr::FreeSchedule(smr::FreeMode::kAdaptive, cfg),
                std::invalid_argument);
   cfg = {};
   cfg.drain_min = 8;
   cfg.drain_max = 2;
   try {
-    smr::make_free_schedule(smr::ScheduleKind::kFixed, cfg);
+    smr::FreeSchedule(smr::FreeMode::kAmortized, cfg);
     FAIL() << "drain_max < drain_min must throw";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("EMR_DRAIN_MAX"),
@@ -115,29 +114,29 @@ TEST(FreeSchedule, AdaptiveQuotaTracksBacklogAndClamps) {
   cfg.num_threads = 4;
   cfg.drain_min = 2;
   cfg.drain_max = 32;
-  auto sched = smr::make_free_schedule(smr::ScheduleKind::kAdaptive, cfg);
-  EXPECT_STREQ(sched->name(), "adaptive");
-  sched->on_population(4);
+  smr::FreeSchedule sched(smr::FreeMode::kAdaptive, cfg);
+  EXPECT_STREQ(sched.name(), "adaptive");
+  sched.on_population(4);
 
   smr::LaneStats lane;
-  EXPECT_EQ(sched->drain_quota(lane), 2u);  // empty backlog: the floor
+  EXPECT_EQ(sched.drain_quota(lane), 2u);  // empty backlog: the floor
 
   lane.backlog = 1;
-  const std::size_t q_small = sched->drain_quota(lane);
+  const std::size_t q_small = sched.drain_quota(lane);
   lane.backlog = 100'000;
-  const std::size_t q_big = sched->drain_quota(lane);
+  const std::size_t q_big = sched.drain_quota(lane);
   EXPECT_GE(q_big, q_small) << "quota must be monotone in backlog";
   EXPECT_EQ(q_big, 32u) << "a huge backlog must hit the clamp";
   lane.backlog = 1 << 30;
-  EXPECT_EQ(sched->drain_quota(lane), 32u);
+  EXPECT_EQ(sched.drain_quota(lane), 32u);
 
   // More registrants shorten the drain horizon: same backlog, bigger
   // quota.
   lane.backlog = 2048;
-  sched->on_population(1);
-  const std::size_t q_idle = sched->drain_quota(lane);
-  sched->on_population(8);
-  const std::size_t q_crowded = sched->drain_quota(lane);
+  sched.on_population(1);
+  const std::size_t q_idle = sched.drain_quota(lane);
+  sched.on_population(8);
+  const std::size_t q_crowded = sched.drain_quota(lane);
   EXPECT_GE(q_crowded, q_idle);
 }
 
@@ -145,8 +144,8 @@ TEST(FreeSchedule, AdaptiveQuotaRespectsDrainCost) {
   smr::SmrConfig cfg;
   cfg.drain_min = 1;
   cfg.drain_max = 1024;
-  auto sched = smr::make_free_schedule(smr::ScheduleKind::kAdaptive, cfg);
-  sched->on_population(1);
+  smr::FreeSchedule sched(smr::FreeMode::kAdaptive, cfg);
+  sched.on_population(1);
   smr::LaneStats lane;
   lane.backlog = 1 << 20;
   lane.timed_drained = 100;
@@ -156,7 +155,7 @@ TEST(FreeSchedule, AdaptiveQuotaRespectsDrainCost) {
   lane.drain_ns = 100 * 1'000'000;  // 1 ms per clocked free: pathological
   // 50 us budget / 1 ms per free -> quota collapses toward the floor
   // instead of stalling the op on a million-node drain.
-  EXPECT_LE(sched->drain_quota(lane), 2u);
+  EXPECT_LE(sched.drain_quota(lane), 2u);
 }
 
 TEST(FreeSchedule, AdaptiveThresholdProratesWithPopulation) {
@@ -164,18 +163,18 @@ TEST(FreeSchedule, AdaptiveThresholdProratesWithPopulation) {
   cfg.num_threads = 6;
   cfg.extra_slots = 2;  // capacity 8
   cfg.batch_size = 4096;
-  auto sched = smr::make_free_schedule(smr::ScheduleKind::kAdaptive, cfg);
+  smr::FreeSchedule sched(smr::FreeMode::kAdaptive, cfg);
   const std::size_t cap = cfg.slot_capacity();
-  EXPECT_EQ(sched->scan_threshold(cap), 4096u);  // full table: full batch
-  EXPECT_EQ(sched->scan_threshold(cap / 2), 2048u);
-  EXPECT_EQ(sched->scan_threshold(1), 4096u / cap);
-  EXPECT_EQ(sched->scan_threshold(0), 4096u / cap);  // floored population
-  EXPECT_EQ(sched->scan_threshold(cap * 10), 4096u)
+  EXPECT_EQ(sched.scan_threshold(cap), 4096u);  // full table: full batch
+  EXPECT_EQ(sched.scan_threshold(cap / 2), 2048u);
+  EXPECT_EQ(sched.scan_threshold(1), 4096u / cap);
+  EXPECT_EQ(sched.scan_threshold(0), 4096u / cap);  // floored population
+  EXPECT_EQ(sched.scan_threshold(cap * 10), 4096u)
       << "population beyond capacity must not exceed the configured batch";
   // Degenerate batch still yields a usable threshold.
   cfg.batch_size = 2;
-  auto tiny = smr::make_free_schedule(smr::ScheduleKind::kAdaptive, cfg);
-  EXPECT_GE(tiny->scan_threshold(1), 1u);
+  smr::FreeSchedule tiny(smr::FreeMode::kAdaptive, cfg);
+  EXPECT_GE(tiny.scan_threshold(1), 1u);
 }
 
 // --------------------------------------------- latency-target policy
@@ -186,43 +185,41 @@ TEST(FreeSchedule, LatencyTargetScalesWithObservedTail) {
   cfg.drain_min = 1;
   cfg.drain_max = 1024;
   cfg.latency_target_us = 100;  // 100'000 ns
-  auto base = smr::make_free_schedule(smr::ScheduleKind::kLatency, cfg);
-  EXPECT_STREQ(base->name(), "latency");
-  EXPECT_TRUE(base->wants_latency_feedback());
-  auto* sched = dynamic_cast<smr::LatencyTargetFreeSchedule*>(base.get());
-  ASSERT_NE(sched, nullptr);
-  EXPECT_EQ(sched->target_ns(), 100'000u);
-  EXPECT_EQ(sched->scale(), smr::LatencyTargetFreeSchedule::kScaleUnit);
-  EXPECT_EQ(sched->last_p999_ns(), 0u);
+  smr::FreeSchedule sched(smr::FreeMode::kLatency, cfg);
+  EXPECT_STREQ(sched.name(), "latency");
+  EXPECT_TRUE(sched.wants_latency_feedback());
+  EXPECT_EQ(sched.target_ns(), 100'000u);
+  EXPECT_EQ(sched.scale(), smr::FreeSchedule::kScaleUnit);
+  EXPECT_EQ(sched.last_p999_ns(), 0u);
 
-  sched->on_population(4);
+  sched.on_population(4);
   smr::LaneStats lane;
   lane.backlog = 100'000;
-  const std::size_t q_neutral = sched->drain_quota(lane);
+  const std::size_t q_neutral = sched.drain_quota(lane);
   EXPECT_GT(q_neutral, 1u);
 
   // Overshoot: each beat halves the scale, quota shrinks monotonically
   // down to the floor — but never to zero.
-  sched->on_tail_latency(200'000);  // 2x target
-  EXPECT_EQ(sched->last_p999_ns(), 200'000u);
-  EXPECT_LT(sched->scale(), smr::LatencyTargetFreeSchedule::kScaleUnit);
-  const std::size_t q_backed_off = sched->drain_quota(lane);
+  sched.on_tail_latency(200'000);  // 2x target
+  EXPECT_EQ(sched.last_p999_ns(), 200'000u);
+  EXPECT_LT(sched.scale(), smr::FreeSchedule::kScaleUnit);
+  const std::size_t q_backed_off = sched.drain_quota(lane);
   EXPECT_LE(q_backed_off, q_neutral);
-  for (int i = 0; i < 32; ++i) sched->on_tail_latency(200'000);
-  EXPECT_EQ(sched->scale(), smr::LatencyTargetFreeSchedule::kScaleMin);
-  EXPECT_GE(sched->drain_quota(lane), cfg.drain_min)
+  for (int i = 0; i < 32; ++i) sched.on_tail_latency(200'000);
+  EXPECT_EQ(sched.scale(), smr::FreeSchedule::kScaleMin);
+  EXPECT_GE(sched.drain_quota(lane), cfg.drain_min)
       << "an unreachable target must not stop reclamation";
 
   // Comfortably under 3/4 of the target: the scale creeps back up and
   // saturates at its cap.
-  for (int i = 0; i < 128; ++i) sched->on_tail_latency(10'000);
-  EXPECT_EQ(sched->scale(), smr::LatencyTargetFreeSchedule::kScaleMax);
-  EXPECT_GE(sched->drain_quota(lane), q_neutral);
+  for (int i = 0; i < 128; ++i) sched.on_tail_latency(10'000);
+  EXPECT_EQ(sched.scale(), smr::FreeSchedule::kScaleMax);
+  EXPECT_GE(sched.drain_quota(lane), q_neutral);
 
   // The dead band between 3/4 and 1x the target holds the scale still.
-  const std::size_t held = sched->scale();
-  sched->on_tail_latency(90'000);
-  EXPECT_EQ(sched->scale(), held);
+  const std::size_t held = sched.scale();
+  sched.on_tail_latency(90'000);
+  EXPECT_EQ(sched.scale(), held);
 }
 
 TEST(FreeSchedule, LatencyTargetQuotaHonoursTheClamp) {
@@ -230,13 +227,13 @@ TEST(FreeSchedule, LatencyTargetQuotaHonoursTheClamp) {
   cfg.drain_min = 3;
   cfg.drain_max = 16;
   cfg.latency_target_us = 1;  // everything overshoots a 1 us target
-  auto sched = smr::make_free_schedule(smr::ScheduleKind::kLatency, cfg);
-  sched->on_population(1);
-  for (int i = 0; i < 32; ++i) sched->on_tail_latency(1'000'000);
+  smr::FreeSchedule sched(smr::FreeMode::kLatency, cfg);
+  sched.on_population(1);
+  for (int i = 0; i < 32; ++i) sched.on_tail_latency(1'000'000);
   smr::LaneStats lane;
   lane.backlog = 1 << 20;
-  EXPECT_GE(sched->drain_quota(lane), 3u);
-  EXPECT_LE(sched->drain_quota(lane), 16u);
+  EXPECT_GE(sched.drain_quota(lane), 3u);
+  EXPECT_LE(sched.drain_quota(lane), 16u);
 }
 
 TEST(FreeSchedule, LatencyTargetDaemonQuotaIgnoresTheTailScale) {
@@ -249,30 +246,31 @@ TEST(FreeSchedule, LatencyTargetDaemonQuotaIgnoresTheTailScale) {
   cfg.drain_min = 1;
   cfg.drain_max = 1024;
   cfg.latency_target_us = 1;  // everything overshoots a 1 us target
-  auto base = smr::make_free_schedule(smr::ScheduleKind::kLatency, cfg);
-  auto* sched = dynamic_cast<smr::LatencyTargetFreeSchedule*>(base.get());
-  ASSERT_NE(sched, nullptr);
-  sched->on_population(4);
-  for (int i = 0; i < 32; ++i) sched->on_tail_latency(1'000'000);
-  ASSERT_EQ(sched->scale(), smr::LatencyTargetFreeSchedule::kScaleMin);
+  smr::FreeSchedule sched(smr::FreeMode::kLatency, cfg);
+  sched.on_population(4);
+  for (int i = 0; i < 32; ++i) sched.on_tail_latency(1'000'000);
+  ASSERT_EQ(sched.scale(), smr::FreeSchedule::kScaleMin);
   smr::LaneStats lane;
   lane.backlog = 100'000;
-  const std::size_t unscaled = sched->AdaptiveFreeSchedule::drain_quota(lane);
-  ASSERT_LT(sched->drain_quota(lane), unscaled)
+  // The unscaled quantum: an adaptive schedule at the same population.
+  smr::FreeSchedule adaptive(smr::FreeMode::kAdaptive, cfg);
+  adaptive.on_population(4);
+  const std::size_t unscaled = adaptive.drain_quota(lane);
+  ASSERT_LT(sched.drain_quota(lane), unscaled)
       << "precondition: the floored scale must throttle the op path";
   // The daemon quantum is the unscaled adaptive one x2 (x8 under
   // pressure) — not a multiple of the throttled op quota.
-  EXPECT_EQ(sched->daemon_quota(lane, /*pressure=*/false), 2 * unscaled);
-  EXPECT_EQ(sched->daemon_quota(lane, /*pressure=*/true), 8 * unscaled);
-  EXPECT_GT(sched->daemon_quota(lane, /*pressure=*/true),
-            8 * sched->drain_quota(lane));
+  EXPECT_EQ(sched.daemon_quota(lane, /*pressure=*/false), 2 * unscaled);
+  EXPECT_EQ(sched.daemon_quota(lane, /*pressure=*/true), 8 * unscaled);
+  EXPECT_GT(sched.daemon_quota(lane, /*pressure=*/true),
+            8 * sched.drain_quota(lane));
 }
 
 TEST(FreeSchedule, LatencyTargetZeroFailsFastNamingTheKnob) {
   smr::SmrConfig cfg;
   cfg.latency_target_us = 0;
   try {
-    smr::make_free_schedule(smr::ScheduleKind::kLatency, cfg);
+    smr::FreeSchedule(smr::FreeMode::kLatency, cfg);
     FAIL() << "latency_target_us == 0 must throw";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("EMR_LATENCY_TARGET_US"),
@@ -280,27 +278,68 @@ TEST(FreeSchedule, LatencyTargetZeroFailsFastNamingTheKnob) {
         << e.what();
   }
   // The fixed/adaptive policies never read the knob; zero is fine there.
-  EXPECT_NO_THROW(smr::make_free_schedule(smr::ScheduleKind::kFixed, cfg));
-  EXPECT_NO_THROW(
-      smr::make_free_schedule(smr::ScheduleKind::kAdaptive, cfg));
+  EXPECT_NO_THROW(smr::FreeSchedule(smr::FreeMode::kAmortized, cfg));
+  EXPECT_NO_THROW(smr::FreeSchedule(smr::FreeMode::kAdaptive, cfg));
 }
 
 // ------------------------------------------------------ factory wiring
 
 TEST(FreeSchedule, SuffixSelectsThePolicy) {
   World fixed("debra_af", small_config());
-  EXPECT_STREQ(fixed.bundle.schedule->name(), "fixed");
+  EXPECT_STREQ(fixed.schedule().name(), "fixed");
   World adaptive("debra_adaptive", small_config());
-  EXPECT_STREQ(adaptive.bundle.schedule->name(), "adaptive");
+  EXPECT_STREQ(adaptive.schedule().name(), "adaptive");
   EXPECT_STREQ(adaptive.r().name(), "debra");
   World token_adaptive("token_adaptive", small_config());
   EXPECT_STREQ(token_adaptive.r().name(), "token_adaptive");
   World latency("debra_latency", small_config());
-  EXPECT_STREQ(latency.bundle.schedule->name(), "latency");
+  EXPECT_STREQ(latency.schedule().name(), "latency");
   EXPECT_STREQ(latency.r().name(), "debra");
-  EXPECT_TRUE(latency.bundle.schedule->wants_latency_feedback());
+  EXPECT_TRUE(latency.schedule().wants_latency_feedback());
   World token_latency("token_latency", small_config());
   EXPECT_STREQ(token_latency.r().name(), "token_latency");
+}
+
+// Every constructible name against a mode worked out from the name
+// string alone: the outermost _hf arms routing, the schedule suffix
+// picks the mode, and what is left is a base name.
+TEST(FreeSchedule, EveryNameSelectsItsMode) {
+  using M = smr::FreeMode;
+  auto strip = [](std::string& s, const std::string& suffix) {
+    if (s.size() <= suffix.size() ||
+        s.compare(s.size() - suffix.size(), suffix.size(), suffix) != 0) {
+      return false;
+    }
+    s.resize(s.size() - suffix.size());
+    return true;
+  };
+  const std::vector<std::string>& bases = smr::reclaimer_names();
+  ASSERT_EQ(smr::all_factory_names().size(), 112u);
+  for (const std::string& name : smr::all_factory_names()) {
+    SCOPED_TRACE(name);
+    std::string rest = name;
+    const bool hf = strip(rest, "_hf");
+    M mode = M::kBatch;
+    const char* schedule = "fixed";
+    if (strip(rest, "_af")) {
+      mode = M::kAmortized;
+    } else if (strip(rest, "_pool")) {
+      mode = M::kPool;
+    } else if (strip(rest, "_adaptive")) {
+      mode = M::kAdaptive;
+      schedule = "adaptive";
+    } else if (strip(rest, "_latency")) {
+      mode = M::kLatency;
+      schedule = "latency";
+    }
+    EXPECT_NE(std::find(bases.begin(), bases.end(), rest), bases.end());
+
+    World w(name, small_config());
+    EXPECT_EQ(w.schedule().mode(), mode);
+    EXPECT_STREQ(w.schedule().name(), schedule);
+    EXPECT_EQ(w.schedule().wants_latency_feedback(), mode == M::kLatency);
+    EXPECT_EQ(w.r().executor().home_flush(), hf);
+  }
 }
 
 TEST(FreeSchedule, LatencyNamesInTheFactoryGrammar) {
@@ -324,17 +363,15 @@ TEST(FreeSchedule, LatencyNamesInTheFactoryGrammar) {
 
 TEST(FreeSchedule, PopulationFollowsRegistration) {
   World w("debra_adaptive", small_config());
-  auto* sched =
-      dynamic_cast<smr::AdaptiveFreeSchedule*>(w.bundle.schedule.get());
-  ASSERT_NE(sched, nullptr);
-  EXPECT_EQ(sched->population(), 0u);
+  const smr::FreeSchedule& sched = w.schedule();
+  EXPECT_EQ(sched.population(), 0u);
   {
     smr::ThreadHandle a = w.r().register_thread();
-    EXPECT_EQ(sched->population(), 1u);
+    EXPECT_EQ(sched.population(), 1u);
     smr::ThreadHandle b = w.r().register_thread();
-    EXPECT_EQ(sched->population(), 2u);
+    EXPECT_EQ(sched.population(), 2u);
   }
-  EXPECT_EQ(sched->population(), 0u);
+  EXPECT_EQ(sched.population(), 0u);
 }
 
 TEST(FreeSchedule, PoolCapFlowsThroughThePolicy) {
@@ -477,7 +514,7 @@ TEST(FreeSchedule, AdaptiveVariantsAccountExactly) {
 TEST(FreeSchedule, LatencyVariantsAccountExactly) {
   for (const std::string& base : smr::experiment2_reclaimers()) {
     World w(base + "_latency", small_config());
-    w.bundle.schedule->on_tail_latency(~std::uint64_t{0});  // floor it
+    w.schedule().on_tail_latency(~std::uint64_t{0});  // floor it
     smr::ThreadHandle h = w.r().register_thread();
     smr::ThreadHandle other = w.r().register_thread();
     for (int i = 0; i < 100; ++i) {
@@ -486,7 +523,7 @@ TEST(FreeSchedule, LatencyVariantsAccountExactly) {
         g.retire(w.r().alloc_node(h, 64));
       }
       { smr::Guard g(other); }
-      if (i == 50) w.bundle.schedule->on_tail_latency(1);  // max it out
+      if (i == 50) w.schedule().on_tail_latency(1);  // max it out
     }
     w.r().flush_all();
     const smr::SmrStats st = w.r().stats();
@@ -546,7 +583,7 @@ TEST(FreeScheduleConcurrent, LaneStatsRaceFreeUnderChurn) {
       for (const smr::LaneStats& l : st.lanes) {
         if (l.backlog >= busiest.backlog) busiest = l;
       }
-      (void)w.bundle.schedule->drain_quota(busiest);
+      (void)w.schedule().drain_quota(busiest);
       std::this_thread::yield();
     }
   });

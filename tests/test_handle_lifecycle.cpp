@@ -271,7 +271,7 @@ TEST(HandleLifecycle, StructureTeardownSurvivesExhaustedSlotTable) {
 // the epoch beat must keep advancing throughout (the acceptance
 // criterion for departed threads).
 TEST(HandleChurnStress, RegisterDeregisterRacesGuardedTraversals) {
-  // debra_adaptive/ibr_adaptive put the AdaptiveFreeSchedule and the
+  // debra_adaptive/ibr_adaptive put the adaptive FreeSchedule and the
   // executor's lane-stats counters under the same register/deregister
   // fire (the TSAN pass the adaptive controller is gated on).
   for (const char* reclaimer : {"debra", "hp", "ibr", "nbr", "token_af",

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "smr/factory.hpp"
-#include "smr/free_schedule.hpp"
 #include "smr/reclaimer_daemon.hpp"
 #include "tests/tracking_allocator.hpp"
 
@@ -79,15 +78,18 @@ TEST(HomeFlush, HfSuffixArmsRouting) {
   World on("debra_af_hf", small_config());
   EXPECT_TRUE(on.ex().home_flush());
   EXPECT_STREQ(on.r().name(), "debra");
-  EXPECT_STREQ(on.bundle.schedule->name(), "fixed");
+  EXPECT_STREQ(on.ex().schedule().name(), "fixed");
   World adaptive("hp_adaptive_hf", small_config());
   EXPECT_TRUE(adaptive.ex().home_flush());
-  EXPECT_STREQ(adaptive.bundle.schedule->name(), "adaptive");
+  EXPECT_STREQ(adaptive.ex().schedule().name(), "adaptive");
 
   TrackingAllocator allocator;
   smr::SmrContext ctx;
   ctx.allocator = &allocator;
   EXPECT_THROW(smr::make_reclaimer("token_naive_hf", ctx, small_config()),
+               std::invalid_argument);
+  // _hf is one outermost marker, not a schedule suffix.
+  EXPECT_THROW(smr::make_reclaimer("debra_hf_hf", ctx, small_config()),
                std::invalid_argument);
 }
 
@@ -96,41 +98,38 @@ TEST(HomeFlush, HfSuffixArmsRouting) {
 TEST(HomeFlush, FlushQuotaPolicies) {
   smr::SmrConfig cfg;
   cfg.flush_batch = 48;
-  auto fixed = smr::make_free_schedule(smr::ScheduleKind::kFixed, cfg);
+  smr::FreeSchedule fixed(smr::FreeMode::kAmortized, cfg);
   smr::LaneStats lane;
-  EXPECT_EQ(fixed->flush_quota(lane), 48u);
+  EXPECT_EQ(fixed.flush_quota(lane), 48u);
   lane.stash_backlog = 1 << 20;
-  EXPECT_EQ(fixed->flush_quota(lane), 48u);  // backlog is ignored
+  EXPECT_EQ(fixed.flush_quota(lane), 48u);  // backlog is ignored
 
   cfg.num_threads = 4;
-  auto adaptive = smr::make_free_schedule(smr::ScheduleKind::kAdaptive, cfg);
-  adaptive->on_population(4);
+  smr::FreeSchedule adaptive(smr::FreeMode::kAdaptive, cfg);
+  adaptive.on_population(4);
   lane.stash_backlog = 0;
-  EXPECT_EQ(adaptive->flush_quota(lane), 1u);  // quiet stash: the floor
+  EXPECT_EQ(adaptive.flush_quota(lane), 1u);  // quiet stash: the floor
   lane.stash_backlog = 1;
-  const std::size_t q_small = adaptive->flush_quota(lane);
+  const std::size_t q_small = adaptive.flush_quota(lane);
   lane.stash_backlog = 1 << 20;
-  const std::size_t q_big = adaptive->flush_quota(lane);
+  const std::size_t q_big = adaptive.flush_quota(lane);
   EXPECT_GE(q_big, q_small) << "quota must be monotone in stash backlog";
   EXPECT_EQ(q_big, 48u) << "a huge stash must hit the EMR_FLUSH_BATCH cap";
 
   // The tail-steered policy scales the adaptive quantum but never stops
   // flushing: a floored scale still moves one block per op.
   cfg.latency_target_us = 1;
-  auto base = smr::make_free_schedule(smr::ScheduleKind::kLatency, cfg);
-  auto* latency =
-      dynamic_cast<smr::LatencyTargetFreeSchedule*>(base.get());
-  ASSERT_NE(latency, nullptr);
-  latency->on_population(4);
-  for (int i = 0; i < 32; ++i) latency->on_tail_latency(1'000'000);
-  ASSERT_EQ(latency->scale(), smr::LatencyTargetFreeSchedule::kScaleMin);
-  EXPECT_GE(latency->flush_quota(lane), 1u);
-  EXPECT_LE(latency->flush_quota(lane), 48u);
+  smr::FreeSchedule latency(smr::FreeMode::kLatency, cfg);
+  latency.on_population(4);
+  for (int i = 0; i < 32; ++i) latency.on_tail_latency(1'000'000);
+  ASSERT_EQ(latency.scale(), smr::FreeSchedule::kScaleMin);
+  EXPECT_GE(latency.flush_quota(lane), 1u);
+  EXPECT_LE(latency.flush_quota(lane), 48u);
 
   cfg = {};
   cfg.flush_batch = 0;
   try {
-    smr::make_free_schedule(smr::ScheduleKind::kFixed, cfg);
+    smr::FreeSchedule(smr::FreeMode::kAmortized, cfg);
     FAIL() << "flush_batch == 0 must throw";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("EMR_FLUSH_BATCH"),
