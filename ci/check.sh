@@ -125,7 +125,8 @@ test -s "$BUILD_DIR/emr_out/fig01_scaling.csv"
 # TSAN: race-check the lock-free guarded traversals on every run. The
 # sanitized tree skips the bench binaries to keep the double build cheap;
 # the filter runs the multi-threaded reader/writer stress over every
-# guard protocol (debra/hp/ibr/nbr/debra_pool x abtree/occtree/dgt).
+# guard protocol (debra/hp/ibr/nbr/debra_pool/token/debra_af x
+# abtree/occtree/dgt).
 TSAN_DIR="${TSAN_DIR:-build-tsan}"
 cmake -B "$TSAN_DIR" -S . -DEMR_SANITIZE=thread -DEMR_BUILD_BENCHES=OFF
 cmake --build "$TSAN_DIR" -j"$JOBS"

@@ -124,8 +124,8 @@ class EbrReclaimer final : public Reclaimer {
   void collect_safe(int slot_idx, EbrSlot& s) {
     if (s.limbo.sealed.empty()) return;
     const std::uint64_t e = epoch_.load(std::memory_order_acquire);
-    for (SealedBag& b : s.limbo.take_safe(
-             [e](const SealedBag& b) { return b.stamp + 2 <= e; })) {
+    const auto safe = [e](const SealedBag& b) { return b.stamp + 2 <= e; };
+    for (SealedBag b; s.limbo.take_safe(safe, b);) {
       executor().hand_over(slot_idx, b.adopted, std::move(b.nodes));
     }
   }

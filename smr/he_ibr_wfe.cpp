@@ -51,6 +51,15 @@ struct RetiredNode {
   std::uint64_t retire;
 };
 
+/// One read of every thread's published protection state, taken once
+/// per scan so classifying a node is O(log) instead of a fresh sweep of
+/// threads x slots acquire loads per retired node.
+struct ReservationSnapshot {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> intervals;  // ibr
+  std::vector<std::uint64_t> eras;  // he/wfe slot eras, sorted
+  std::uint64_t min_open = 0;       // wfe fallback floor; 0 = none
+};
+
 struct alignas(64) EraThread {
   // he/wfe: published eras, one per protection slot (0 = none).
   std::unique_ptr<std::atomic<std::uint64_t>[]> slots;
@@ -64,6 +73,9 @@ struct alignas(64) EraThread {
   // every retire — a shared line would bounce once per scanned slot.
   alignas(64) RetireList<RetiredNode> retired;
   std::uint64_t allocs = 0;
+  // Scan scratch, refilled and reused: touched only by the slot's
+  // owner, or under the registry lock by its departure scan.
+  ReservationSnapshot snap;
 };
 static_assert(alignof(EraThread) == 64 && sizeof(EraThread) % 64 == 0,
               "EraThread must tile cache lines so the published "
@@ -245,17 +257,11 @@ class EraReclaimer final : public Reclaimer {
     }
   }
 
-  /// One read of every thread's published protection state, taken once
-  /// per scan so classifying a node is O(log) instead of a fresh sweep
-  /// of threads x slots acquire loads per retired node.
-  struct ReservationSnapshot {
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> intervals;  // ibr
-    std::vector<std::uint64_t> eras;  // he/wfe slot eras, sorted
-    std::uint64_t min_open = 0;       // wfe fallback floor; 0 = none
-  };
-
-  ReservationSnapshot snapshot_reservations() const {
-    ReservationSnapshot s;
+  /// Refills `s` from every thread's published protection state.
+  void snapshot_reservations(ReservationSnapshot& s) const {
+    s.intervals.clear();
+    s.eras.clear();
+    s.min_open = 0;
     for (const EraThread& t : threads_) {
       const std::uint64_t lo = t.lower.load(std::memory_order_acquire);
       if (lo != 0) {
@@ -275,7 +281,6 @@ class EraReclaimer final : public Reclaimer {
       }
     }
     std::sort(s.eras.begin(), s.eras.end());
-    return s;
   }
 
   /// True iff some snapshotted reservation intersects the node's
@@ -291,9 +296,9 @@ class EraReclaimer final : public Reclaimer {
   }
 
   void scan(int tid, EraThread& t, bool departing = false) {
-    const ReservationSnapshot snap = snapshot_reservations();
+    snapshot_reservations(t.snap);
     t.retired.scan(executor(), tid, departing, threshold(),
-                   [&](const RetiredNode& n) { return reserved(snap, n); });
+                   [&](const RetiredNode& n) { return reserved(t.snap, n); });
   }
 
   void advance_era(int tid) {

@@ -32,6 +32,9 @@ namespace {
 struct alignas(64) HpThread {
   std::unique_ptr<std::atomic<void*>[]> slots;
   RetireList<void*> retired;
+  // Scan scratch, cleared and reused: touched only by the slot's owner,
+  // or under the registry lock by its departure scan.
+  std::vector<void*> hazards;
 };
 
 class HpReclaimer final : public Reclaimer {
@@ -50,6 +53,7 @@ class HpReclaimer final : public Reclaimer {
         t.slots[i].store(nullptr, std::memory_order_relaxed);
       }
       t.retired.arm(scan_threshold());
+      t.hazards.reserve(nlanes_ * nslots_);
     }
   }
 
@@ -123,8 +127,8 @@ class HpReclaimer final : public Reclaimer {
   /// Snapshot every hazard slot, hand the unprotected retires to the
   /// executor, keep the protected ones for the next scan.
   void scan(int slot_idx, HpThread& t, bool departing = false) {
-    std::vector<void*> hazards;
-    hazards.reserve(nlanes_ * nslots_);
+    std::vector<void*>& hazards = t.hazards;
+    hazards.clear();
     for (const HpThread& th : threads_) {
       for (std::size_t i = 0; i < nslots_; ++i) {
         void* h = th.slots[i].load(std::memory_order_acquire);

@@ -28,24 +28,20 @@ inline std::size_t next_scan_at(std::size_t threshold, std::size_t kept) {
 struct SealedBag {
   std::uint64_t stamp = 0;
   bool adopted = false;  // left behind by a departed generation
-  std::vector<void*> nodes;
+  NodeChain nodes;
 };
 
 /// One slot's limbo for the bag-sealing schemes (ebr, token): the open
 /// bag being filled and the sealed bags, oldest first. The scheme owns
 /// the clock the stamps come from and decides when a bag is safe.
 struct LimboBags {
-  std::vector<void*> open;
+  NodeChain open;
   std::deque<SealedBag> sealed;
 
-  /// Seals the open bag at `stamp`; the next open bag reserves the same
-  /// size.
+  /// Seals the open bag at `stamp`.
   void seal(std::uint64_t stamp) {
     if (open.empty()) return;
-    const std::size_t n = open.size();
     sealed.push_back(SealedBag{stamp, /*adopted=*/false, std::move(open)});
-    open = {};
-    open.reserve(n);
   }
 
   /// Departure: seals the open bag and marks every sealed bag adopted,
@@ -56,17 +52,14 @@ struct LimboBags {
     for (SealedBag& b : sealed) b.adopted = true;
   }
 
-  /// Pops the oldest bags while `safe(bag)` holds, at most `max_bags`
-  /// of them (0 = no limit).
+  /// Pops the oldest bag into `out` (whose chain must be empty) when
+  /// `safe(bag)` holds.
   template <typename Safe>
-  std::vector<SealedBag> take_safe(Safe safe, std::size_t max_bags = 0) {
-    std::vector<SealedBag> out;
-    while (!sealed.empty() && safe(sealed.front()) &&
-           (max_bags == 0 || out.size() < max_bags)) {
-      out.push_back(std::move(sealed.front()));
-      sealed.pop_front();
-    }
-    return out;
+  bool take_safe(Safe safe, SealedBag& out) {
+    if (sealed.empty() || !safe(sealed.front())) return false;
+    out = std::move(sealed.front());
+    sealed.pop_front();
+    return true;
   }
 
   /// Teardown: seals the open bag and hands every bag to `ex` on `lane`
@@ -90,6 +83,8 @@ void* node_of(const Entry& e) {
 
 /// One slot's retire list for the scanning schemes (hp, era, nbr): the
 /// retired entries plus the list size that triggers the next scan. The
+/// entries stay a vector because a scan classifies each by the eras it
+/// carries; only the nodes a scan releases are linked into a chain. The
 /// scheme decides which entries a scan must keep; the list does the
 /// partition and the hand-over.
 template <typename Entry>
@@ -111,32 +106,30 @@ class RetireList {
   bool empty() const { return entries_.empty(); }
 
   /// Hands every entry `reserved` rejects to `ex` on `lane` as one bag
-  /// (adopted on a departure scan), keeps the rest in order, and re-arms
-  /// the scan size above the survivors.
+  /// (adopted on a departure scan), compacts the rest in place and in
+  /// order, and re-arms the scan size above the survivors.
   template <typename Reserved>
   void scan(FreeExecutor& ex, int lane, bool adopted,
             std::size_t threshold, Reserved reserved) {
-    std::vector<void*> bag;
-    std::vector<Entry> keep;
-    bag.reserve(entries_.size());
+    NodeChain bag;
+    std::size_t kept = 0;
     for (const Entry& e : entries_) {
       if (reserved(e)) {
-        keep.push_back(e);
+        entries_[kept++] = e;
       } else {
         bag.push_back(node_of(e));
       }
     }
-    entries_ = std::move(keep);
-    scan_at_ = next_scan_at(threshold, entries_.size());
+    entries_.resize(kept);
+    scan_at_ = next_scan_at(threshold, kept);
     ex.hand_over(lane, adopted, std::move(bag));
   }
 
   /// Teardown: every entry as one bag, the list emptied and re-armed
   /// (an already empty list keeps its scan size).
-  std::vector<void*> take_all(std::size_t threshold) {
-    if (entries_.empty()) return {};
-    std::vector<void*> bag;
-    bag.reserve(entries_.size());
+  NodeChain take_all(std::size_t threshold) {
+    NodeChain bag;
+    if (entries_.empty()) return bag;
     for (const Entry& e : entries_) bag.push_back(node_of(e));
     entries_.clear();
     scan_at_ = threshold;

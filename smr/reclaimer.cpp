@@ -84,8 +84,11 @@ void Reclaimer::flush_all() {
 
 SmrStats Reclaimer::stats() const {
   SmrStats st;
-  st.retired = retired_.n.load(std::memory_order_relaxed);
+  // Exit counter before entry counter (the lane_stats() rule): a node is
+  // freed only after its retire was counted, so a later-read `retired`
+  // is never below an earlier-read `freed` and `pending` cannot wrap.
   st.freed = executor_.total_freed();
+  st.retired = retired_.n.load(std::memory_order_relaxed);
   st.pending = st.retired - st.freed;
   st.epochs_advanced = epochs_advanced();
   return st;

@@ -26,6 +26,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -44,6 +45,13 @@
 namespace emr::smr {
 
 class Reclaimer;
+
+/// Row `slot` of a per-slot (per-lane) table; slots are always in range.
+template <typename Table>
+auto& at(Table& rows, int slot) {
+  assert(slot >= 0 && static_cast<std::size_t>(slot) < rows.size());
+  return rows[static_cast<std::size_t>(slot)];
+}
 
 struct SmrConfig {
   /// Expected steady-state worker population; sizes the registration
@@ -123,14 +131,89 @@ struct SmrContext {
 
 /// Intrusive per-node header. Every pointer that flows through
 /// alloc_node()/retire() must begin with one of these, and the bytes are
-/// owned by the reclaimer: the era-clock schemes (he/ibr/wfe) stamp the
-/// node's birth era here at allocation and read it back at retire, so a
-/// node's lifetime interval travels with the node instead of through a
-/// locked side table. Callers must never write to the header — allocate
-/// with make_node<T>() (which preserves the stamp across construction)
-/// or leave the first sizeof(NodeHeader) bytes untouched.
+/// owned by the reclaimer. While the node is live, the era-clock schemes
+/// (he/ibr/wfe) stamp its birth era here at allocation and read it back
+/// at retire, so a node's lifetime interval travels with the node
+/// instead of through a locked side table. From retire onward the word
+/// is the node's NodeChain link: limbo bags, lane queues and home-flush
+/// stashes thread the dead node through it, and alloc_node() zeroes it
+/// again. Callers must never write to the header — allocate with
+/// make_node<T>() (which preserves the stamp across construction) or
+/// leave the first sizeof(NodeHeader) bytes untouched.
 struct NodeHeader {
   std::uint64_t birth_era;
+};
+static_assert(sizeof(NodeHeader) == sizeof(void*),
+              "the header word doubles as the NodeChain link");
+
+/// A FIFO of retired nodes linked through their NodeHeader words — the
+/// one bag format from retire to free. Limbo bags, scan hand-overs, the
+/// executor's lane queues and the home-flush stash remainder are all
+/// NodeChains, so moving nodes between them is an O(1) splice and never
+/// allocates. A node belongs to at most one chain: moves leave the
+/// source empty and copies are disallowed.
+class NodeChain {
+ public:
+  NodeChain() = default;
+  NodeChain(NodeChain&& o) noexcept { splice(std::move(o)); }
+  NodeChain& operator=(NodeChain&& o) noexcept {
+    assert(empty() && "assigning over a chain would drop its nodes");
+    splice(std::move(o));
+    return *this;
+  }
+
+  /// The link word of a dead node, read and written as bytes: the word
+  /// was the live node's NodeHeader, so a typed access would alias it.
+  static void* next(const void* node) {
+    void* n = nullptr;
+    std::memcpy(&n, node, sizeof n);
+    return n;
+  }
+  static void set_next(void* node, void* n) { std::memcpy(node, &n, sizeof n); }
+
+  /// Walks a null-terminated list already linked through the headers (a
+  /// grabbed home-flush stash) into a chain.
+  static NodeChain from_list(void* head) {
+    NodeChain c;
+    c.head_ = head;
+    for (void* p = head; p != nullptr; p = next(p), ++c.size_) c.tail_ = p;
+    return c;
+  }
+
+  bool empty() const { return head_ == nullptr; }
+  std::size_t size() const { return size_; }
+
+  void push_back(void* p) {
+    set_next(p, nullptr);
+    splice(from_list(p));
+  }
+
+  /// Unlinks and returns the oldest node. Its link is read here, so the
+  /// caller may overwrite the header (a free, a stash push) at once.
+  void* pop_front() {
+    void* p = head_;
+    head_ = next(p);
+    --size_;
+    return p;
+  }
+
+  /// Appends every node of `o` in order, leaving `o` empty.
+  void splice(NodeChain&& o) {
+    if (o.empty()) return;
+    void* first = std::exchange(o.head_, nullptr);
+    if (empty()) {
+      head_ = first;
+    } else {
+      set_next(tail_, first);
+    }
+    tail_ = o.tail_;
+    size_ += std::exchange(o.size_, 0);
+  }
+
+ private:
+  void* head_ = nullptr;
+  void* tail_ = nullptr;  // meaningful only while non-empty
+  std::size_t size_ = 0;
 };
 
 /// Per-registration-slot counters every FreeExecutor maintains. The
@@ -365,10 +448,10 @@ struct SmrStats {
 /// call: every quantum comes from the FreeSchedule it owns, built from
 /// the same mode.
 ///
-/// Each lane keeps one FIFO of handed-over bags. A bag is queued whole
-/// (the vector moves in, no per-node copy) with a read cursor and the
-/// tenant tag of its hand-over; op-end drains, the daemon, quiesce and
-/// pool recycling all pop from its front.
+/// Each lane keeps one NodeChain queue. A handed-over bag is spliced
+/// onto its tail whole (O(1), no per-node copy, no allocation), and
+/// op-end drains, the daemon, quiesce and pool recycling all pop from its
+/// front.
 ///
 /// Executors do not see thread identity at all: every entry point takes
 /// the registration-slot `lane` the owning reclaimer derived from the
@@ -424,13 +507,14 @@ class FreeExecutor {
   /// other request goes to the allocator.
   void* alloc_node(int lane, std::size_t size);
 
-  /// A bag of nodes is now safe to reclaim. Ownership transfers. Under
-  /// kBatch a fresh bag is freed on the spot; every other bag joins the
-  /// lane's queue and drains at the schedule's quota per op. `adopted`
-  /// marks a departing slot's hand-off (the churn-aware departure
-  /// drain): it is always queued, in every mode, so it never reaches
-  /// the allocator in one burst.
-  void hand_over(int lane, bool adopted, std::vector<void*>&& bag);
+  /// A bag of nodes is now safe to reclaim. Ownership transfers and
+  /// `bag` is left empty. Under kBatch a fresh bag is freed on the spot,
+  /// front to back; every other bag is spliced onto the lane's queue and
+  /// drains at the schedule's quota per op. `adopted` marks a departing
+  /// slot's hand-off (the churn-aware departure drain): it is always
+  /// queued, in every mode, so it never reaches the allocator in one
+  /// burst.
+  void hand_over(int lane, bool adopted, NodeChain&& bag);
 
   /// Called once per completed operation (the amortization hook):
   /// counts the op, frees up to the schedule's drain quota from the
@@ -441,9 +525,10 @@ class FreeExecutor {
   /// Frees everything held for `lane`. Single-threaded use only.
   void quiesce(int lane);
 
-  /// Nodes this executor has freed or recycled (== left limbo).
+  /// Nodes this executor has freed or recycled (== left limbo): every
+  /// lane's `drained`, so no shared counter is bumped per free.
   std::uint64_t total_freed() const {
-    return freed_.load(std::memory_order_relaxed);
+    return sum(lanes_, &LaneState::drained);
   }
 
   /// Allocations served from the queue (always 0 unless kPool).
@@ -508,22 +593,20 @@ class FreeExecutor {
   /// same call path. No-op bookkeeping when single-tenant.
   void set_lane_tenant(int lane, std::uint32_t tenant) {
     if (multi_tenant_) {
-      lane_at(lane).tenant.store(clamp_tenant(tenant),
+      at(lanes_, lane).tenant.store(clamp_tenant(tenant),
                                  std::memory_order_relaxed);
     }
   }
 
   std::uint32_t lane_tenant(int lane) const {
-    return lane_at(lane).tenant.load(std::memory_order_relaxed);
+    return at(lanes_, lane).tenant.load(std::memory_order_relaxed);
   }
 
   /// One retire on `lane` attributed to its current tenant. Called by
   /// Reclaimer::retire() — a single relaxed RMW, and a plain branch
   /// when single-tenant.
   void note_tenant_retired(int lane) {
-    if (!multi_tenant_) return;
-    tenant_retired_[tenant_cell(lane, lane_tenant(lane))].fetch_add(
-        1, std::memory_order_relaxed);
+    note_tenant(&TenantCell::retired, lane, lane_tenant(lane), 1);
   }
 
   /// One tenant's totals summed over lanes. Readable from any thread;
@@ -550,28 +633,29 @@ class FreeExecutor {
   std::size_t daemon_drain(int lane, std::size_t quota, int daemon_lane);
 
  private:
-  /// One handed-over bag waiting in a lane's queue: the reclaimer's
-  /// vector itself, a cursor past the nodes already freed or recycled,
-  /// and the tenant the hand-over was attributed to.
-  struct QueuedBag {
-    std::vector<void*> nodes;
-    std::size_t next = 0;
-    std::uint32_t tenant = 0;
+  /// The queued nodes of one hand-over and the tenant it was attributed
+  /// to.
+  struct TenantRun {
+    std::uint64_t count;
+    std::uint32_t tenant;
   };
 
   struct alignas(64) LaneState {
-    /// The lane's bag queue. Only the lane's owning thread (or a
-    /// registry hook while the slot is unowned) touches it — plus, when
-    /// a daemon is hooked, the daemon under `mu`; `backlog` mirrors its
-    /// node count for readers.
-    std::deque<QueuedBag> bags;
+    /// The lane's queue. Only the lane's owning thread (or a registry
+    /// hook while the slot is unowned) touches it — plus, when a daemon
+    /// is hooked, the daemon under `mu`; `backlog` mirrors its size for
+    /// readers.
+    NodeChain queue;
+    /// The queue's hand-overs in queue order, so each drained node is
+    /// booked to the tenant of its bag. Kept only when multi-tenant, so
+    /// a single-tenant lane never touches it. Owned like `queue`.
+    std::deque<TenantRun> runs;
     /// Un-flushed remainder of the last stash grab: the drainer takes
     /// the whole Treiber stack in one exchange but flushes only
-    /// flush_quota blocks per op, so the rest waits here as a private
-    /// intrusive chain. Owned like `bags`; counted in
-    /// RemoteStash::backlog until freed.
-    void* stash_chain = nullptr;
-    /// Guards `bags` and `stash_chain`; taken only while a daemon is
+    /// flush_quota blocks per op, so the rest waits here. Owned like
+    /// `queue`; counted in RemoteStash::backlog until freed.
+    NodeChain stash;
+    /// Guards `queue`, `runs` and `stash`; taken only while a daemon is
     /// hooked (uncontended test-and-set otherwise skipped entirely).
     Spinlock mu;
     /// Hot per-op counters start on their own cache line (alignas
@@ -583,7 +667,7 @@ class FreeExecutor {
     std::atomic<std::uint64_t> enqueued{0};
     std::atomic<std::uint64_t> drained{0};
     std::atomic<std::uint64_t> adopted_total{0};
-    /// Nodes in `bags`, written only by whoever holds the queue.
+    /// Nodes in `queue`, written only by whoever holds it.
     std::atomic<std::uint64_t> backlog{0};
     std::atomic<std::uint64_t> drain_ns{0};
     std::atomic<std::uint64_t> timed_drained{0};
@@ -626,33 +710,20 @@ class FreeExecutor {
                           : std::unique_lock<Spinlock>();
   }
 
-  LaneState& lane_at(int lane) {
-    assert(lane >= 0 && static_cast<std::size_t>(lane) < lanes_.size());
-    return lanes_[static_cast<std::size_t>(lane)];
-  }
-  const LaneState& lane_at(int lane) const {
-    assert(lane >= 0 && static_cast<std::size_t>(lane) < lanes_.size());
-    return lanes_[static_cast<std::size_t>(lane)];
-  }
-
   /// Queue nodes a drain must leave in place: the pool cap under kPool
   /// (recycling inventory), 0 otherwise.
   std::size_t queue_floor() const {
     return schedule_.mode() == FreeMode::kPool ? schedule_.pool_cap() : 0;
   }
 
-  /// Takes the front node off the lane's queue and books it drained
-  /// against its bag's tenant. Caller holds the queue and has checked
-  /// it is non-empty; the `backlog` gauge is the caller's to update.
-  void* pop_node(int lane, LaneState& l);
-
-  /// The one queue drain: frees up to `quota` nodes from the front of
-  /// `lane`'s queue, leaving at least `floor`, on allocator lane
-  /// `alloc_lane`. `route` sends each free through routed_free (op-end
-  /// drains); the daemon and quiesce free directly. Takes the lane lock
-  /// when hooked; returns nodes freed.
+  /// The one queue pop: takes up to `quota` nodes off the front of
+  /// `lane`'s queue, leaving at least `floor`, books each drained
+  /// against its run's tenant and passes it to `sink` — a free (op-end
+  /// drains route it; the daemon and quiesce free directly) or kPool
+  /// recycling. Takes the lane lock when hooked; returns nodes taken.
+  template <typename Sink>
   std::size_t drain(int lane, std::size_t quota, std::size_t floor,
-                    int alloc_lane, bool route);
+                    Sink sink);
 
   /// Frees one node through the allocator on `alloc_lane` — through
   /// free_local_hint when `local_hint` (the stash flush, whose
@@ -692,24 +763,29 @@ class FreeExecutor {
   /// schedules; the fixed one never reads the clock.
   void note_drain_time(LaneState& l, std::uint64_t t0, std::size_t n);
 
-  std::size_t tenant_cell(int lane, std::uint32_t tenant) const {
-    return static_cast<std::size_t>(lane) *
-               static_cast<std::size_t>(tenants_) +
-           tenant;
-  }
-
   std::uint32_t clamp_tenant(std::uint32_t t) const {
     return t < static_cast<std::uint32_t>(tenants_) ? t : 0;
   }
 
-  using TenantGrid = std::unique_ptr<std::atomic<std::uint64_t>[]>;
+  /// One (lane, tenant) row of the multi-tenant books.
+  struct TenantCell {
+    std::atomic<std::uint64_t> retired{0};
+    std::atomic<std::uint64_t> enqueued{0};
+    std::atomic<std::uint64_t> drained{0};
+  };
 
-  /// Adds `n` to (lane, tenant t)'s cell of `grid`; no-op when
+  TenantCell& tenant_cell(int lane, std::uint32_t t) const {
+    return tenant_cells_[static_cast<std::size_t>(lane) *
+                             static_cast<std::size_t>(tenants_) +
+                         t];
+  }
+
+  /// Adds `n` to one counter of (lane, tenant t)'s cell; no-op when
   /// single-tenant.
-  void note_tenant(const TenantGrid& grid, int lane, std::uint32_t t,
-                   std::uint64_t n) {
+  void note_tenant(std::atomic<std::uint64_t> TenantCell::*counter,
+                   int lane, std::uint32_t t, std::uint64_t n) {
     if (multi_tenant_ && n > 0) {
-      grid[tenant_cell(lane, t)].fetch_add(n, std::memory_order_relaxed);
+      (tenant_cell(lane, t).*counter).fetch_add(n, std::memory_order_relaxed);
     }
   }
 
@@ -734,18 +810,15 @@ class FreeExecutor {
   std::vector<LaneState> lanes_;
   std::vector<RemoteStash> stash_;
   FreeSchedule schedule_;
-  /// Every lane's free bumps this; its own cache line keeps the fields
-  /// every op reads (lanes_, the routing flags, the mode) off the
-  /// bouncing line.
-  alignas(64) std::atomic<std::uint64_t> freed_{0};
   /// kPool: the node size recycling serves (the first size requested —
-  /// trials use one node size) and how many allocations it served.
-  std::atomic<std::size_t> common_size_{0};
+  /// trials use one node size) and how many allocations it served. Every
+  /// lane bumps the latter; its own cache line keeps the fields every op
+  /// reads (lanes_, the routing flags, the schedule) off the bouncing
+  /// line.
+  alignas(64) std::atomic<std::size_t> common_size_{0};
   std::atomic<std::uint64_t> pooled_allocs_{0};
-  // lane-major [lane][tenant] grids, allocated only when multi-tenant.
-  TenantGrid tenant_retired_;
-  TenantGrid tenant_enqueued_;
-  TenantGrid tenant_drained_;
+  // lane-major [lane][tenant] grid, allocated only when multi-tenant.
+  std::unique_ptr<TenantCell[]> tenant_cells_;
 };
 
 /// RAII thread registration. A thread joins a reclaimer's population
@@ -1013,13 +1086,6 @@ class Reclaimer {
   /// Records one progress beat (epoch advance, token rotation, scan, era
   /// tick) with the current pending count into the trial instruments.
   void progress_beat(int slot, std::uint64_t beat) const;
-
-  /// Row `slot` of a per-slot table; slots are always in range.
-  template <typename Table>
-  static auto& at(Table& rows, int slot) {
-    assert(slot >= 0 && static_cast<std::size_t>(slot) < rows.size());
-    return rows[static_cast<std::size_t>(slot)];
-  }
 
  private:
   friend class ThreadHandle;

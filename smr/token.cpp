@@ -111,10 +111,7 @@ class TokenReclaimer final : public Reclaimer {
       std::lock_guard<std::mutex> lock(s.mu);
       s.limbo.depart(pass());
     }
-    const std::uint64_t pass_now = pass();
-    for (SealedBag& b : take_safe(s, pass_now, 0)) {
-      hand_over(slot_idx, std::move(b));
-    }
+    hand_over_safe(slot_idx, s, pass(), 0);
     std::uint64_t word = holder_.load(std::memory_order_acquire);
     const int next = next_active(slot_idx);
     if (holder_slot(word) == slot_idx && next != slot_idx) {
@@ -127,12 +124,6 @@ class TokenReclaimer final : public Reclaimer {
   /// The seal stamp: passes so far.
   std::uint64_t pass() const {
     return passes_.load(std::memory_order_relaxed);
-  }
-
-  /// Routes one safe bag to the executor: adopted bags through the
-  /// amortizing adoption path, fresh ones straight to the schedule.
-  void hand_over(int slot_idx, SealedBag&& b) {
-    executor().hand_over(slot_idx, b.adopted, std::move(b.nodes));
   }
 
   /// A bag is safe once 2 * slot_capacity passes have elapsed since its
@@ -185,12 +176,21 @@ class TokenReclaimer final : public Reclaimer {
     }
   }
 
-  /// Pops up to `max_bags` safe bags from `s` (0 = all).
-  std::vector<SealedBag> take_safe(TokenSlot& s, std::uint64_t pass_now,
-                                   std::size_t max_bags) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    return s.limbo.take_safe(
-        [&](const SealedBag& b) { return safe(b, pass_now); }, max_bags);
+  /// Hands up to `max_bags` (0 = all) of `s`'s safe bags, oldest first,
+  /// to the executor on `slot_idx`: adopted bags through the amortizing
+  /// adoption path, fresh ones straight to the schedule. Each bag is
+  /// popped under `s.mu` and handed over outside it.
+  void hand_over_safe(int slot_idx, TokenSlot& s, std::uint64_t pass_now,
+                      std::size_t max_bags) {
+    const auto is_safe = [&](const SealedBag& b) { return safe(b, pass_now); };
+    SealedBag b;
+    for (std::size_t n = 0; max_bags == 0 || n < max_bags; ++n) {
+      {
+        std::lock_guard<std::mutex> lock(s.mu);
+        if (!s.limbo.take_safe(is_safe, b)) return;
+      }
+      executor().hand_over(slot_idx, b.adopted, std::move(b.nodes));
+    }
   }
 
   /// Runs the holder's policy. Frees stay safe even under a stale
@@ -202,24 +202,16 @@ class TokenReclaimer final : public Reclaimer {
     switch (opt_.policy) {
       case TokenPolicy::kNaive:
         // Serialize: the holder reclaims for everyone, then passes.
-        for (TokenSlot& s : slots_) {
-          for (SealedBag& b : take_safe(s, pass_now, 0)) {
-            hand_over(slot_idx, std::move(b));
-          }
-        }
+        for (TokenSlot& s : slots_) hand_over_safe(slot_idx, s, pass_now, 0);
         pass_token(slot_idx, word);
         break;
       case TokenPolicy::kPassFirst:
         pass_token(slot_idx, word);
-        for (SealedBag& b : take_safe(at(slots_, slot_idx), pass_now, 0)) {
-          hand_over(slot_idx, std::move(b));
-        }
+        hand_over_safe(slot_idx, at(slots_, slot_idx), pass_now, 0);
         break;
       case TokenPolicy::kPeriodic:
         pass_token(slot_idx, word);
-        for (SealedBag& b : take_safe(at(slots_, slot_idx), pass_now, 1)) {
-          hand_over(slot_idx, std::move(b));
-        }
+        hand_over_safe(slot_idx, at(slots_, slot_idx), pass_now, 1);
         break;
     }
   }

@@ -198,9 +198,12 @@ INSTANTIATE_TEST_SUITE_P(
 // Readers traverse (guarded, lock-free) while writers insert/erase and
 // retirement churns underneath them. The tracking allocator asserts on
 // any double free or foreign free; under the TSAN build in ci/check.sh
-// this is also the data-race check for every guard protocol.
+// this is also the data-race check for every guard protocol. token and
+// debra_af add the limbo chain, whose links are written into retired
+// nodes readers may still traverse, and the queued lane chain.
 TEST_P(DsConcurrentTest, GuardedTraversalsRaceReclamation) {
-  for (const char* reclaimer : {"debra", "hp", "ibr", "nbr", "debra_pool"}) {
+  for (const char* reclaimer :
+       {"debra", "hp", "ibr", "nbr", "debra_pool", "token", "debra_af"}) {
     constexpr std::uint64_t kKeyrange = 128;  // small: maximal collisions
     DsWorld w(GetParam(), reclaimer, kKeyrange, /*threads=*/4,
               /*batch=*/8);

@@ -161,9 +161,12 @@ INSTANTIATE_TEST_SUITE_P(AllQueues, QueueConcurrentTest,
 // producer — the linearizable-queue guarantee observable without a
 // global dequeue log). The tracking allocator asserts on any double or
 // foreign free; under the TSAN build in ci/check.sh this is also the
-// data-race check for the queue's traversal protocol.
+// data-race check for the queue's traversal protocol. token and debra_af
+// add the limbo chain, whose links are written into retired nodes readers
+// may still traverse, and the queued lane chain.
 TEST_P(QueueConcurrentTest, ConcurrentPipelineKeepsFifoPerProducer) {
-  for (const char* reclaimer : {"debra", "hp", "ibr", "nbr", "debra_pool"}) {
+  for (const char* reclaimer :
+       {"debra", "hp", "ibr", "nbr", "debra_pool", "token", "debra_af"}) {
     constexpr int kProducers = 2;
     constexpr int kConsumers = 2;
     constexpr std::uint64_t kPerProducer = 4000;

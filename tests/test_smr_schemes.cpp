@@ -4,15 +4,37 @@
 // retired node is freed at teardown, and the pointer-protecting names
 // resolve to their own families rather than aliasing the epoch
 // machinery. Scheme-specific behaviours (HP scan partitioning, era
-// grace, NBR neutralization) get their own cases at the bottom.
+// grace, NBR neutralization), the zeroed header of pool-recycled nodes
+// and the no-hidden-allocation bound on the retire->free path get their
+// own cases at the bottom.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
 #include "smr/factory.hpp"
 #include "tests/tracking_allocator.hpp"
+
+// Every global operator new in this binary counts its bytes, so a test
+// can bound what a code path requests outside the modelled allocator.
+// Each form pairs malloc with free, which keeps sanitizer builds clean.
+namespace {
+std::atomic<std::uint64_t> g_new_bytes{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_new_bytes.fetch_add(n, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -278,6 +300,84 @@ TEST(SmrNbr, NeutralizedReaderRestartsAndUnblocksReclamation) {
     EXPECT_EQ(w.r().stats().pending, 0u) << name;
     EXPECT_EQ(w.allocator.live(), 0u) << name;
   }
+}
+
+// Pool recycling hands a queued node straight back out, and from retire
+// onward the header word is the queue's link. alloc_node must zero it on
+// the recycled path exactly as on the fresh one.
+TEST(SmrPool, EveryAllocatedNodeStartsWithAZeroHeader) {
+  for (const char* name : {"debra_pool", "debra_pool_hf"}) {
+    SchemeWorld w(name);
+    for (int i = 0; i < 400; ++i) {
+      smr::ThreadHandle& h = w.h(i % 2);
+      w.r().begin_op(h);
+      void* p = w.r().alloc_node(h, 64);
+      EXPECT_EQ(static_cast<const smr::NodeHeader*>(p)->birth_era, 0u)
+          << name << ": alloc " << i;
+      w.r().retire(h, p);
+      w.r().end_op(h);
+    }
+    EXPECT_GT(w.r().executor().total_pooled_allocs(), 0u) << name;
+    w.r().flush_all();
+    EXPECT_EQ(w.allocator.live(), 0u) << name;
+  }
+}
+
+// Serves nodes from malloc, outside operator new, so the byte count
+// sees only what the reclamation path itself requests.
+class MallocAllocator final : public alloc::Allocator {
+ public:
+  void* allocate(int, std::size_t size) override { return std::malloc(size); }
+  void deallocate(int, void* p) override { std::free(p); }
+  alloc::AllocStats stats() const override { return {}; }
+  const char* name() const override { return "malloc"; }
+};
+
+class NoHiddenAllocTest : public ::testing::TestWithParam<std::string> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    ReclamationPath, NoHiddenAllocTest,
+    ::testing::Values("debra", "debra_af", "debra_pool", "token",
+                      "token_af", "hp", "he", "ibr", "nbr"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
+
+// Retired nodes travel from retire to free as chains linked through
+// their own headers, so a steady retire loop requests no heap bytes that
+// grow with the node count: what is left (a per-bag deque slot) stays
+// well under one byte per retired node. A per-bag std::vector<void*>
+// would request at least 8.
+TEST_P(NoHiddenAllocTest, SteadyStateRetireRequestsUnderOneBytePerNode) {
+  constexpr std::size_t kBatch = 1024;
+  constexpr std::size_t kBags = 64;
+  MallocAllocator allocator;
+  smr::SmrContext ctx;
+  ctx.allocator = &allocator;
+  smr::SmrConfig cfg;
+  cfg.num_threads = 1;
+  cfg.batch_size = kBatch;
+  smr::ReclaimerBundle bundle = smr::make_reclaimer(GetParam(), ctx, cfg);
+  smr::Reclaimer& r = *bundle.reclaimer;
+  smr::ThreadHandle h = r.register_thread();
+  const auto churn = [&](std::size_t ops) {
+    for (std::size_t i = 0; i < ops; ++i) {
+      r.begin_op(h);
+      r.retire(h, r.alloc_node(h, 64));
+      r.end_op(h);
+    }
+  };
+  churn(4 * kBatch);  // warm-up: every container reaches its steady size
+  const std::uint64_t before = g_new_bytes.load(std::memory_order_relaxed);
+  churn(kBags * kBatch);
+  const std::uint64_t bytes =
+      g_new_bytes.load(std::memory_order_relaxed) - before;
+  EXPECT_LT(static_cast<double>(bytes) / (kBags * kBatch), 1.0)
+      << GetParam() << " requested " << bytes << " bytes over "
+      << kBags * kBatch << " retires";
+  h.release();
+  r.flush_all();
+  EXPECT_EQ(r.stats().pending, 0u);
 }
 
 }  // namespace
