@@ -65,8 +65,13 @@ struct DsWorld {
 void BM_GuardedContains(benchmark::State& state, const char* ds_name,
                         const char* reclaimer) {
   DsWorld w(ds_name, reclaimer, 4096);
-  for (std::uint64_t k = 0; k < 4096; k += 2) w.set->insert(w.h(0), k);
+  // Every even key in shuffled order, as the harness prefill does: a
+  // sorted stream would build the unbalanced occtree as a 2048-deep list.
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t k = 0; k < 4096; k += 2) keys.push_back(k);
   Rng rng(1);
+  rng.shuffle(keys);
+  for (std::uint64_t k : keys) w.set->insert(w.h(0), k);
   for (auto _ : state) {
     benchmark::DoNotOptimize(w.set->contains(w.h(0), rng.next_range(4096)));
   }

@@ -122,6 +122,21 @@ export EMR_MS="${EMR_MS:-30}" EMR_THREADS="${EMR_THREADS:-1 2}" \
 "$BUILD_DIR/bench_fig01_scaling"
 test -s "$BUILD_DIR/emr_out/fig01_scaling.csv"
 
+# Benchmark output checks: perfbench's own tests guard the output check
+# of every workload BENCHMARK.json declares. They build from perfbench/
+# (Release, as perfbench/run.py builds it) into their own tree; the
+# target exists only when CMake found GTest (grep reads the whole list:
+# -q would close the pipe early and trip pipefail).
+PERF_DIR="${PERF_DIR:-build-perfbench}"
+cmake -S perfbench -B "$PERF_DIR" -DCMAKE_BUILD_TYPE=Release
+if cmake --build "$PERF_DIR" --target help | grep -w perfbench_tests \
+    > /dev/null; then
+  cmake --build "$PERF_DIR" -j"$JOBS" --target perfbench_tests
+  "$PERF_DIR/perfbench_tests"
+else
+  echo "ci/check.sh: GTest not found, skipping perfbench_tests"
+fi
+
 # TSAN: race-check the lock-free guarded traversals on every run. The
 # sanitized tree skips the bench binaries to keep the double build cheap;
 # the filter runs the multi-threaded reader/writer stress over every

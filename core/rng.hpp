@@ -3,7 +3,9 @@
 // (seed, tid) so experiments are comparable across reclaimers.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 
 namespace emr {
 
@@ -39,6 +41,14 @@ class Rng {
 
   /// Uniform in [0, n). n must be > 0.
   std::uint64_t next_range(std::uint64_t n) { return next_u64() % n; }
+
+  /// Fisher-Yates shuffle of `v` in place, drawing from this stream.
+  template <typename Vec>
+  void shuffle(Vec& v) {
+    for (std::size_t i = v.size(); i > 1; --i) {
+      std::swap(v[i - 1], v[next_range(i)]);
+    }
+  }
 
  private:
   std::uint64_t s0_;

@@ -1,19 +1,18 @@
-// Internal (a,b)-tree flavour: a fanout-16 routing layer of separator
-// keys built once over the key range, with fat 240 B leaves (the paper's
-// ABtree node size) that hold up to 28 keys each and are replaced
-// copy-on-write. Every mutation builds a fresh immutable leaf and
-// publishes it with one CAS on the routing layer's leaf slot, retiring
-// the old leaf — so updates are lock-free, every update churns one fat
-// node through the reclaimer exactly like the paper's ABtree write path,
-// and lookups race retirement with nothing but the Guard protecting the
-// leaf hop. The routing layer is immutable after construction
-// (rebalancing is elided — see docs/DATA_STRUCTURES.md for the fidelity
-// caveats vs Brown's LLX/SCX ABtree).
+// Internal (a,b)-tree flavour: fat 240 B leaves (the paper's ABtree
+// node size) that hold up to 28 keys each, indexed directly by
+// `key / 28` in a flat slot array built once over the key range, and
+// replaced copy-on-write. Every mutation builds a fresh immutable leaf
+// and publishes it with one CAS on its slot, retiring the old leaf — so
+// updates are lock-free, every update churns one fat node through the
+// reclaimer exactly like the paper's ABtree write path, and lookups race
+// retirement with nothing but the Guard protecting the leaf hop. There
+// is no separator walk: the slot is computed, not searched (rebalancing
+// and internal nodes are elided — see docs/DATA_STRUCTURES.md for the
+// fidelity caveats vs Brown's LLX/SCX ABtree).
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "ds/set.hpp"
 
@@ -21,7 +20,6 @@ namespace emr::ds {
 namespace {
 
 constexpr std::size_t kLeafCap = 28;   // keys per 240 B leaf
-constexpr std::size_t kFanout = 16;    // routing-node fanout
 
 struct LeafNode {
   smr::NodeHeader hdr;                 // 8
@@ -33,17 +31,6 @@ struct LeafNode {
 static_assert(sizeof(LeafNode) == 240);
 static_assert(std::is_standard_layout_v<LeafNode>);
 
-/// One routing node: separator keys over up to kFanout children. Interior
-/// levels point at further routers; the last level indexes into the flat
-/// leaf-slot array. Built once, never retired.
-struct Router {
-  bool leaf_level = false;
-  std::uint32_t nkeys = 0;             // #children - 1 separators
-  std::uint64_t sep[kFanout - 1] = {};
-  Router* child[kFanout] = {};
-  std::size_t first_slot = 0;          // leaf level: slots_[first_slot + i]
-};
-
 class AbTree final : public ConcurrentSet {
  public:
   AbTree(const SetConfig& cfg, smr::Reclaimer* r) : r_(r) {
@@ -53,7 +40,6 @@ class AbTree final : public ConcurrentSet {
     for (std::size_t i = 0; i < nslots_; ++i) {
       slots_[i].store(nullptr, std::memory_order_relaxed);
     }
-    root_ = build(0, nslots_);
   }
 
   ~AbTree() override {
@@ -143,51 +129,17 @@ class AbTree final : public ConcurrentSet {
     return std::binary_search(leaf.keys, end, key);
   }
 
-  /// Builds the routing subtree over leaf slots [lo, hi).
-  Router* build(std::size_t lo, std::size_t hi) {
-    routers_.push_back(std::make_unique<Router>());
-    Router* n = routers_.back().get();
-    const std::size_t span = hi - lo;
-    if (span <= kFanout) {
-      n->leaf_level = true;
-      n->first_slot = lo;
-      n->nkeys = static_cast<std::uint32_t>(span - 1);
-      for (std::uint32_t i = 0; i < n->nkeys; ++i) {
-        n->sep[i] = static_cast<std::uint64_t>(lo + i + 1) * kLeafCap;
-      }
-      return n;
-    }
-    const std::size_t stride = (span + kFanout - 1) / kFanout;
-    std::uint32_t nchildren = 0;
-    for (std::size_t at = lo; at < hi; at += stride) {
-      n->child[nchildren++] = build(at, std::min(at + stride, hi));
-    }
-    n->nkeys = nchildren - 1;
-    for (std::uint32_t i = 0; i < n->nkeys; ++i) {
-      n->sep[i] =
-          static_cast<std::uint64_t>(lo + (i + 1) * stride) * kLeafCap;
-    }
-    return n;
-  }
-
-  /// Separator walk from the root to the leaf slot covering `key`. The
-  /// routing layer is immutable, so these hops are plain reads; the leaf
-  /// slot the caller protects through is the only retire-able hop.
+  /// The leaf slot covering `key`: segment `key / kLeafCap`, with
+  /// out-of-contract keys (>= keyrange) sharing the last leaf. The slot
+  /// array is immutable in shape, so this is plain arithmetic; the leaf
+  /// the caller protects through the slot is the only retire-able hop.
   std::atomic<LeafNode*>& route(std::uint64_t key) {
-    Router* n = root_;
-    for (;;) {
-      std::uint32_t i = 0;
-      while (i < n->nkeys && key >= n->sep[i]) ++i;
-      if (n->leaf_level) return slots_[n->first_slot + i];
-      n = n->child[i];
-    }
+    return slots_[std::min<std::uint64_t>(key / kLeafCap, nslots_ - 1)];
   }
 
   smr::Reclaimer* r_;
   std::size_t nslots_;
   std::unique_ptr<std::atomic<LeafNode*>[]> slots_;
-  std::vector<std::unique_ptr<Router>> routers_;
-  Router* root_;
 };
 
 }  // namespace

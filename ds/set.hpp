@@ -9,9 +9,9 @@
 // load-bearing, not cost-modelled. Structures, node layouts and
 // per-scheme guard protocols are documented in docs/DATA_STRUCTURES.md.
 //
-//   abtree     - internal (a,b)-tree flavour: static fanout-16 routing
-//                layer over fat 240 B copy-on-write leaves, lock-free
-//                reads AND writes (leaf CAS)
+//   abtree     - internal (a,b)-tree flavour: fat 240 B copy-on-write
+//                leaves indexed directly by key / 28, lock-free reads
+//                AND writes (leaf CAS)
 //   occtree    - external BST, Bronson-style split: serialized writers
 //                under one lock, optimistic lock-free readers (64 B nodes)
 //   dgt        - Harris-Michael lock-free chained hash set (96 B nodes)

@@ -526,11 +526,9 @@ void prefill(ds::ConcurrentSet& set, smr::Reclaimer& r,
   // OpStream seed, and the prefill order must not correlate with it.
   Rng rng(cfg.seed ^ 0xC3A5C85C97CB3127ULL ^
           (static_cast<std::uint64_t>(tenant) * 0x9E3779B97F4A7C15ULL));
-  for (std::size_t i = keys.size(); i > 1; --i) {
-    std::swap(keys[i - 1], keys[rng.next_range(i)]);
-  }
+  rng.shuffle(keys);
   smr::ThreadHandle h = r.register_thread();
-  // Structural retires during the prefill (e.g. abtree splits) should
+  // Structural retires during the prefill (e.g. abtree leaf copies) should
   // already land on the right tenant's ledger.
   r.executor().set_lane_tenant(h.slot(), tenant);
   for (std::uint64_t k : keys) set.insert(h, k);

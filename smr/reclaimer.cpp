@@ -87,8 +87,11 @@ SmrStats Reclaimer::stats() const {
   // Exit counter before entry counter (the lane_stats() rule): a node is
   // freed only after its retire was counted, so a later-read `retired`
   // is never below an earlier-read `freed` and `pending` cannot wrap.
+  // Both are per-lane sums, and every lane's `drained` is summed before
+  // any lane's `retired`: a node may be retired on one lane and freed on
+  // another.
   st.freed = executor_.total_freed();
-  st.retired = retired_.n.load(std::memory_order_relaxed);
+  st.retired = executor_.total_retired();
   st.pending = st.retired - st.freed;
   st.epochs_advanced = epochs_advanced();
   return st;

@@ -602,11 +602,19 @@ class FreeExecutor {
     return at(lanes_, lane).tenant.load(std::memory_order_relaxed);
   }
 
-  /// One retire on `lane` attributed to its current tenant. Called by
-  /// Reclaimer::retire() — a single relaxed RMW, and a plain branch
-  /// when single-tenant.
-  void note_tenant_retired(int lane) {
+  /// One retire on `lane`, counted on the lane and attributed to its
+  /// current tenant. Called by Reclaimer::retire() — one relaxed RMW on
+  /// the owner's own cache line, plus a plain branch when single-tenant.
+  void note_retired(int lane) {
+    at(lanes_, lane).retired.fetch_add(1, std::memory_order_relaxed);
     note_tenant(&TenantCell::retired, lane, lane_tenant(lane), 1);
+  }
+
+  /// Nodes ever retired: every lane's `retired`, so no shared counter is
+  /// bumped per retire. Read it after total_freed() for a snapshot whose
+  /// difference cannot wrap.
+  std::uint64_t total_retired() const {
+    return sum(lanes_, &LaneState::retired);
   }
 
   /// One tenant's totals summed over lanes. Readable from any thread;
@@ -664,6 +672,7 @@ class FreeExecutor {
     /// hand-over.
     alignas(64) std::atomic<std::uint32_t> tenant{0};
     std::atomic<std::uint64_t> ops{0};
+    std::atomic<std::uint64_t> retired{0};
     std::atomic<std::uint64_t> enqueued{0};
     std::atomic<std::uint64_t> drained{0};
     std::atomic<std::uint64_t> adopted_total{0};
@@ -969,10 +978,10 @@ class Reclaimer {
 
   void retire(ThreadHandle& h, void* p) {
     const int slot = check(h);
-    // Attribute the debt to the lane's current tenant before it enters
-    // limbo (a plain branch when single-tenant).
-    executor_.note_tenant_retired(slot);
-    retired_.n.fetch_add(1, std::memory_order_relaxed);
+    // Count the retire (and its tenant's debt) before the node enters
+    // limbo: stats() relies on a node being counted retired before any
+    // lane can count it freed.
+    executor_.note_retired(slot);
     retire_slot(slot, p);
   }
 
@@ -1113,12 +1122,6 @@ class Reclaimer {
   std::mutex reg_mu_;
   std::atomic<std::size_t> active_count_{0};
   std::atomic<std::size_t> threshold_{1};
-  /// Every lane's retire bumps this; its own cache line keeps the
-  /// read-mostly fields above (and the scheme's) off the bouncing line.
-  struct alignas(64) Counter {
-    std::atomic<std::uint64_t> n{0};
-  };
-  Counter retired_;
 };
 
 inline void ThreadHandle::release() {

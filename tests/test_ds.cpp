@@ -5,6 +5,7 @@
 // pair proving nothing leaks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -105,6 +106,103 @@ TEST_P(DsModelTest, MatchesStdSetSingleThreaded) {
     w.teardown();
     EXPECT_EQ(w.allocator.live(), 0u) << reclaimer;
   }
+}
+
+// ------------------------------------------------------- abtree index
+
+// abtree finds a key's leaf as segment key / 28 of the key range, with
+// every key >= keyrange in the last leaf. 21509 keys give 769 leaves —
+// enough for three levels of the fanout-16 separator index abtree once
+// walked to find them — and a last segment holding only 5 in-range keys
+// (21504..21508). The keys sit on
+// every segment edge (28k-1, 28k, 28k+27), and whole segments fill the
+// first leaves, both sides of the index's top-level boundary at leaf 49
+// and the last two leaves, so an index that packs more than 28 of them
+// into one leaf refuses an insert std::set accepts.
+TEST(DsAbtreeIndex, SegmentEdgesMatchStdSet) {
+  constexpr std::uint64_t kKeyrange = 21509;
+  constexpr std::uint64_t kCap = 28;
+  std::set<std::uint64_t> pool;
+  for (std::uint64_t base = 0; base < kKeyrange; base += kCap) {
+    if (base > 0) pool.insert(base - 1);
+    pool.insert(base);
+    if (base + kCap - 1 < kKeyrange) pool.insert(base + kCap - 1);
+  }
+  for (std::uint64_t seg : {0, 1, 48, 49, 767, 768}) {
+    const std::uint64_t end = std::min((seg + 1) * kCap, kKeyrange);
+    for (std::uint64_t k = seg * kCap; k < end; ++k) pool.insert(k);
+  }
+  const std::vector<std::uint64_t> keys(pool.begin(), pool.end());
+  for (const char* reclaimer : {"debra", "hp"}) {
+    DsWorld w("abtree", reclaimer, kKeyrange);
+    std::set<std::uint64_t> model;
+    Rng rng(13);
+    // Fill first, in shuffled order: every key fits its leaf.
+    std::vector<std::uint64_t> order = keys;
+    rng.shuffle(order);
+    for (std::uint64_t key : order) {
+      ASSERT_TRUE(w.set->insert(w.h(0), key)) << reclaimer << " key " << key;
+      model.insert(key);
+    }
+    for (int i = 0; i < 40000; ++i) {
+      const std::uint64_t key = keys[rng.next_range(keys.size())];
+      const std::uint64_t dice = rng.next_range(3);
+      if (dice == 0) {
+        ASSERT_EQ(w.set->insert(w.h(0), key), model.insert(key).second)
+            << reclaimer << " key " << key;
+      } else if (dice == 1) {
+        ASSERT_EQ(w.set->erase(w.h(0), key), model.erase(key) == 1)
+            << reclaimer << " key " << key;
+      } else {
+        ASSERT_EQ(w.set->contains(w.h(0), key), model.count(key) == 1)
+            << reclaimer << " key " << key;
+      }
+    }
+    for (std::uint64_t k = 0; k < kKeyrange; ++k) {
+      ASSERT_EQ(w.set->contains(w.h(0), k), model.count(k) == 1)
+          << reclaimer << " key " << k;
+    }
+    w.teardown();
+    EXPECT_EQ(w.allocator.live(), 0u) << reclaimer;
+  }
+}
+
+// Keys >= keyrange are out of contract and share the last leaf with the
+// last segment's in-range keys: with that leaf full, the 29th distinct
+// key is refused (and stays absent), the leaf before it takes none of
+// them, and erasing one key of the shared leaf admits the 29th.
+TEST(DsAbtreeIndex, KeysPastTheRangeShareTheLastLeaf) {
+  constexpr std::uint64_t kKeyrange = 21509;
+  constexpr std::uint64_t kLastBase = 21504;  // 768 * 28
+  DsWorld w("abtree", "debra", kKeyrange);
+  smr::ThreadHandle& h = w.h(0);
+  for (std::uint64_t k = kLastBase - 28; k < kLastBase; ++k) {
+    ASSERT_TRUE(w.set->insert(h, k)) << k;  // the full leaf before it
+  }
+  for (std::uint64_t k = kLastBase; k < kKeyrange; ++k) {
+    ASSERT_TRUE(w.set->insert(h, k)) << k;
+  }
+  std::vector<std::uint64_t> past = {kKeyrange, kKeyrange + 1, 1u << 20,
+                                     std::uint64_t{1} << 40, ~std::uint64_t{0}};
+  for (std::uint64_t k = 30000; past.size() < 28 - 5; k += 1000) {
+    past.push_back(k);
+  }
+  for (std::uint64_t k : past) {
+    ASSERT_TRUE(w.set->insert(h, k)) << k;
+    ASSERT_TRUE(w.set->contains(h, k)) << k;
+  }
+  const std::uint64_t extra = kKeyrange + 7;
+  EXPECT_FALSE(w.set->insert(h, extra));
+  EXPECT_FALSE(w.set->contains(h, extra));
+  // Room in the leaf before it does not help: that is a different leaf.
+  ASSERT_TRUE(w.set->erase(h, kLastBase - 1));
+  EXPECT_FALSE(w.set->insert(h, extra));
+  ASSERT_TRUE(w.set->erase(h, kLastBase));
+  EXPECT_TRUE(w.set->insert(h, extra));
+  EXPECT_TRUE(w.set->contains(h, extra));
+  for (std::uint64_t k : past) EXPECT_TRUE(w.set->contains(h, k)) << k;
+  w.teardown();
+  EXPECT_EQ(w.allocator.live(), 0u);
 }
 
 // ---------------------------------------------------- guard protection
