@@ -1,65 +1,13 @@
-// Shared configuration for the paper-reproduction bench binaries.
+// Shared configuration for the bench binaries (bench_paper runs every
+// paper figure and table; README.md lists the rest). Each runs at laptop
+// scale by default and scales to the paper's setup only through the
+// EMR_* environment variables catalogued in EXPERIMENTS.md.
 //
-// Every binary runs at laptop scale by default and scales to the paper's
-// setup through environment variables (see EXPERIMENTS.md):
-//   EMR_THREADS  - thread counts, e.g. "6 12 24 48 96 144 192"
-//   EMR_MS       - measured milliseconds per trial (paper: 5000)
-//   EMR_TRIALS   - trials per data point (paper: 3)
-//   EMR_KEYRANGE - key range (paper: 2e7 for ABtree, 2e6 for DGT)
-//   EMR_BATCH    - retire batch size / scan threshold (Experiment 2: 32768)
-//   EMR_LATENCY_TARGET_US - p99.9 target steering the latency schedule
-//   EMR_LATENCY  - 1 = record per-op latency histograms (docs/LATENCY.md)
-//   EMR_DRAIN_MIN / EMR_DRAIN_MAX - clamp on the adaptive schedule's
-//                  per-op drain quantum
-//   EMR_FLUSH_BATCH - ceiling on the home-flush quantum: how many
-//                  stashed remote frees an owner retires locally per op
-//                  end (>= 1; docs/FREE_SCHEDULES.md)
-//   EMR_POOL_CAP - pooling inventory cap per lane (default: 4 batches,
-//                  floored at 1024; non-positive values are rejected)
-//   EMR_EXTRA_SLOTS - registration slots beyond the worker count
-//                  (churn/teardown headroom; must be >= 1)
-//   EMR_HP_SLOTS - protection slots per thread (hp/he/wfe)
-//   EMR_EPOCH_FREQ - era-clock advance rate (he/ibr/wfe/nbr)
-//   EMR_ALLOC    - je | tc | mi | system | je_model | tc_model | mi_model
-//                  (bare names mean the real library in an
-//                  -DEMR_REAL_ALLOC=ON build; docs/ALLOCATORS.md)
-//   EMR_REMOTE_PENALTY_NS - modelled cross-socket free penalty; setting
-//                  it pins the value, overriding startup calibration
-//   EMR_CALIBRATE - on | off: replace the default penalty with the
-//                  measured cache-line transfer cost (docs/ALLOCATORS.md)
-//   EMR_PIN      - off | compact | scatter CPU pinning for workers,
-//                  the reclaimer daemon, and calibration threads
-//   EMR_TSC      - 1 (default) = use the invariant-TSC clock when the
-//                  CPU advertises one; 0 = always clock_gettime
-//   EMR_CHURN_MS - thread-churn interval: a worker deregisters and a
-//                  fresh thread registers every this-many ms (0 = off)
-//   EMR_WORKLOAD - set | pipeline: the insert/erase/lookup set mix, or
-//                  enqueue/dequeue over a ds/ queue (EMR_DS = msqueue |
-//                  lockedqueue; docs/DATA_STRUCTURES.md)
-//   EMR_PRODUCERS - pipeline role split: the first N workers enqueue
-//                  only, the rest dequeue only (0 = every worker
-//                  alternates); consumers take the far end of EMR_PIN
-//   EMR_QUEUE_CAP - pipeline queue capacity in nodes (0 = unbounded)
-//   EMR_ARRIVAL  - closed | poisson | burst traffic model; open-loop
-//                  modes serve a seeded pre-generated arrival schedule
-//                  (docs/SERVICE_MODE.md)
-//   EMR_RATE_OPS - open-loop mean offered load, ops/s
-//   EMR_ZIPF_S   - Zipfian key skew for open-loop draws (0 = uniform)
-//   EMR_PHASES   - comma list of rate multipliers over equal window slices
-//   EMR_TENANTS / EMR_TENANT_WEIGHTS - ds/ instances sharing the
-//                  reclaimer bundle, and their arrival weights
-//   EMR_RECLAIMER_DAEMON - off | optimistic | aggressive background
-//                  reclaimer thread; EMR_DAEMON_MS sets its tick period
-//   EMR_OUT      - artifact directory for CSV/timeline dumps
-//
-// Binaries that parse argv (bench_ablation_churn,
-// bench_ablation_adaptive, bench_fig_latency, bench_fig_service,
-// bench_fig_queue, bench_fig_homeflush) accept `--json <path>` (or
-// EMR_JSON): the result table is mirrored as a JSON array via
-// harness::emit_json, the format the committed BENCH_*.json perf
-// snapshots ingest (ci/check.sh writes BENCH_fig_latency.json,
-// BENCH_fig_service.json, BENCH_fig_queue.json and
-// BENCH_fig_homeflush.json at the repo root). The helpers below are the two lines a bench needs to opt in.
+// The argv-driven benches accept `--json <path>` (or EMR_JSON): the
+// result table is mirrored as a JSON array via harness::emit_json, the
+// format of the committed BENCH_*.json snapshots that ci/check.sh
+// writes. json_path_from_args and maybe_write_json are the two lines a
+// bench needs to opt in.
 #pragma once
 
 #include <algorithm>

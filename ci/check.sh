@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI smoke: configure + build + ctest + one figure bench end-to-end at
+# CI smoke: configure + build + ctest + every paper figure end-to-end at
 # laptop scale. Mirrors the tier-1 verify line in ROADMAP.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -115,12 +115,28 @@ if grep -nE 'LatencyRecorder|LatencyHistogram|latency_percentile' \
   exit 1
 fi
 
-# End-to-end: the Figure 1 sweep must produce a non-empty table + CSV.
+# End-to-end: every paper figure (bench_paper with no id) must exit 0,
+# tab02's flush-per-free gate included, and leave a non-empty CSV per
+# spec: its table, or for fig02-fig04, which print their table only, the
+# first timeline/census dump.
 export EMR_MS="${EMR_MS:-30}" EMR_THREADS="${EMR_THREADS:-1 2}" \
        EMR_TRIALS=1 EMR_KEYRANGE="${EMR_KEYRANGE:-4096}" \
        EMR_OUT="$BUILD_DIR/emr_out"
-"$BUILD_DIR/bench_fig01_scaling"
-test -s "$BUILD_DIR/emr_out/fig01_scaling.csv"
+rm -rf "$EMR_OUT"  # the ctest smoke writes here too; check this run's CSVs
+"$BUILD_DIR/bench_paper"
+for stem in fig01_scaling 'fig02_timeline_*' fig03_freecalls_debra \
+    fig04_garbage_debra fig05_token_naive fig06to09_token \
+    fig10_token_scaling fig11a_exp1 fig11b_exp2 fig12_orig_vs_af \
+    fig13_dgt_orig_vs_af fig14_dgt_exp1 fig18to29_summary tab01_overhead \
+    tab02_af tab04_token ablation_af_rate ablation_deferred \
+    ablation_pooling ablation_remote_penalty ablation_tcache \
+    ablation_workload_mix; do
+  set -- "$BUILD_DIR"/emr_out/$stem.csv
+  if ! test -s "$1"; then
+    echo "ci/check.sh: bench_paper left no CSV for $stem" >&2
+    exit 1
+  fi
+done
 
 # Benchmark output checks: perfbench's own tests guard the output check
 # of every workload BENCHMARK.json declares. They build from perfbench/
