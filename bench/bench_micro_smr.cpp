@@ -1,5 +1,6 @@
 // google-benchmark micro suite for reclaimer primitives: begin/end op
-// overhead per algorithm and the retire-to-free pipeline cost.
+// overhead per algorithm (alone, and beside two lanes spinning the same
+// bracket) and the retire-to-free pipeline cost.
 //
 // `bench_micro_smr --smoke` runs a correctness smoke instead: every
 // factory name (all bases x batch/_af/_pool schedules) is constructed
@@ -13,9 +14,11 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "alloc/factory.hpp"
+#include "core/affinity.hpp"
 #include "smr/factory.hpp"
 
 namespace {
@@ -29,8 +32,8 @@ struct MicroWorld {
   smr::ReclaimerBundle bundle;
   std::vector<smr::ThreadHandle> handles;
 
-  explicit MicroWorld(const std::string& name) {
-    cfg.num_threads = 2;
+  explicit MicroWorld(const std::string& name, int threads = 2) {
+    cfg.num_threads = threads;
     cfg.batch_size = 256;
     alloc::AllocConfig acfg;
     acfg.max_threads = static_cast<int>(cfg.slot_capacity());
@@ -71,6 +74,45 @@ BENCHMARK_CAPTURE(BM_BeginEndOp, ibr, "ibr");
 BENCHMARK_CAPTURE(BM_BeginEndOp, wfe, "wfe");
 BENCHMARK_CAPTURE(BM_BeginEndOp, nbr, "nbr");
 BENCHMARK_CAPTURE(BM_BeginEndOp, nbrplus, "nbrplus");
+
+/// The empty bracket while two more lanes spin begin/end on their own
+/// handles: what a read-only op pays for the scheme's shared lines
+/// (epoch word, announce scans) under contention. The spinners are plain
+/// std::threads pinned to the next CPUs, so the bundled stub runs it too.
+void BM_BeginEndOpContended(benchmark::State& state, const char* name) {
+  constexpr int kSpinners = 2;
+  MicroWorld w(name, 1 + kSpinners);
+  smr::Reclaimer& r = *w.bundle.reclaimer;
+  const std::vector<int> cpus =
+      affinity::pin_map(affinity::PinMode::kCompact, 1 + kSpinners);
+  std::atomic<bool> stop{false};
+  std::atomic<int> running{0};
+  std::vector<std::thread> spinners;
+  for (int t = 1; t <= kSpinners; ++t) {
+    spinners.emplace_back([&, t] {
+      if (!cpus.empty()) affinity::pin_current_thread(cpus[t]);
+      running.fetch_add(1);
+      while (!stop.load(std::memory_order_relaxed)) {
+        r.begin_op(w.h(t));
+        r.end_op(w.h(t));
+      }
+    });
+  }
+  while (running.load() < kSpinners) std::this_thread::yield();
+  for (auto _ : state) {
+    r.begin_op(w.h(0));
+    r.end_op(w.h(0));
+  }
+  stop.store(true);
+  for (std::thread& t : spinners) t.join();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_BeginEndOpContended, none, "none");
+BENCHMARK_CAPTURE(BM_BeginEndOpContended, qsbr, "qsbr");
+BENCHMARK_CAPTURE(BM_BeginEndOpContended, rcu, "rcu");
+BENCHMARK_CAPTURE(BM_BeginEndOpContended, debra, "debra");
+BENCHMARK_CAPTURE(BM_BeginEndOpContended, token, "token");
+BENCHMARK_CAPTURE(BM_BeginEndOpContended, hp, "hp");
 
 void BM_ProtectLoad(benchmark::State& state, const char* name) {
   MicroWorld w(name);

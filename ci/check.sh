@@ -169,8 +169,11 @@ if [ -x "$TSAN_DIR/test_ds" ]; then
   "$TSAN_DIR/test_queue" --gtest_filter='*Concurrent*'
   # ThreadHandle churn stress: register/deregister racing guarded
   # traversals over every reclaimer family (including the _adaptive
-  # executors, whose lane-stats counters feed the controller).
-  "$TSAN_DIR/test_handle_lifecycle" --gtest_filter='*ChurnStress*'
+  # executors, whose lane-stats counters feed the controller), and the
+  # EBR epoch-on-demand cases: retiring lanes raising the shared need
+  # beside lookup-only lanes.
+  "$TSAN_DIR/test_handle_lifecycle" \
+      --gtest_filter='*ChurnStress*:*EpochDemand*'
   # Adaptive-executor lane-stats counters: a stats_with_lanes reader
   # races registration churn and retire-heavy lanes.
   "$TSAN_DIR/test_free_schedule" --gtest_filter='*Concurrent*'
@@ -200,7 +203,8 @@ if [ -x "$ASAN_DIR/test_ds" ]; then
   export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
   "$ASAN_DIR/test_ds" --gtest_filter='*Concurrent*'
   "$ASAN_DIR/test_queue" --gtest_filter='*Concurrent*'
-  "$ASAN_DIR/test_handle_lifecycle" --gtest_filter='*ChurnStress*'
+  "$ASAN_DIR/test_handle_lifecycle" \
+      --gtest_filter='*ChurnStress*:*EpochDemand*'
   "$ASAN_DIR/test_service" --gtest_filter='*DaemonChurn*'
   "$ASAN_DIR/test_smr_schemes"
   "$ASAN_DIR/test_smr"

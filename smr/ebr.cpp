@@ -1,9 +1,18 @@
-// Epoch-based reclamation family: DEBRA (amortized epoch checks,
-// per-thread limbo bags), QSBR/RCU (quiescent-state announcement, no
-// fences), and the leaking "none" baseline. Reads are plain loads — the
+// Epoch-based reclamation family: DEBRA (per-thread limbo bags),
+// QSBR/RCU (quiescent-state announcement by release stores, no fence),
+// and the leaking "none" baseline. Reads are plain loads — the
 // begin_op/end_op bracket is the protection. The pointer-protecting
 // schemes that used to alias this machinery live in their own
 // translation units now (smr/hp.cpp, smr/he_ibr_wfe.cpp, smr/nbr.cpp).
+//
+// Epochs advance on demand: `need_` is the epoch the youngest sealed bag
+// waits for (its seal stamp + 2), raised by a CAS-max at every seal and
+// at every departure that leaves bags parked. An advance is attempted at
+// the seal, at the departure and every 16th op end, and goes ahead only
+// while epoch_ < need_ and every active announcement is at the current
+// epoch. With no bag waiting the epoch stands still, so begin_op reads a
+// line nobody writes. "none" never collects, so it never raises need_
+// and its epoch never moves.
 //
 // Churn: a departing handle clears its announcement (so it can never pin
 // the epoch again), seals its bag and drains whatever grace already
@@ -61,8 +70,11 @@ class EbrReclaimer final : public Reclaimer {
   void begin_op_slot(int slot_idx) override {
     EbrSlot& s = at(slots_, slot_idx);
     if (opt_.quiescent) {
+      // Release, not relaxed (here and in end_op): an advance that
+      // reads this announcement must happen after the reader's previous
+      // op, or freeing what that op read is a data race.
       const std::uint64_t e = epoch_.load(std::memory_order_relaxed);
-      s.announce.store((e << 1) | 1, std::memory_order_relaxed);
+      s.announce.store((e << 1) | 1, std::memory_order_release);
     } else {
       const std::uint64_t e = epoch_.load(std::memory_order_acquire);
       s.announce.store((e << 1) | 1, std::memory_order_seq_cst);
@@ -72,8 +84,7 @@ class EbrReclaimer final : public Reclaimer {
   void end_op_slot(int slot_idx) override {
     EbrSlot& s = at(slots_, slot_idx);
     s.announce.store(s.announce.load(std::memory_order_relaxed) & ~1ULL,
-                     opt_.quiescent ? std::memory_order_relaxed
-                                    : std::memory_order_release);
+                     std::memory_order_release);
     if (++s.ops % kAdvanceEveryOps == 0) try_advance(slot_idx);
     if (!opt_.leak) collect_safe(slot_idx, s);
   }
@@ -82,7 +93,9 @@ class EbrReclaimer final : public Reclaimer {
     LimboBags& l = at(slots_, slot_idx).limbo;
     l.open.push_back(p);
     if (l.open.size() >= threshold()) {
-      l.seal(epoch());
+      const std::uint64_t e = epoch();
+      l.seal(e);
+      raise_need(e + 2);
       try_advance(slot_idx);
     }
   }
@@ -98,11 +111,14 @@ class EbrReclaimer final : public Reclaimer {
   }
 
   /// Departure: the announcement drops (a vacated slot can never hold
-  /// an epoch back) and the limbo departs: every parked bag is adopted.
+  /// an epoch back) and the limbo departs: every parked bag is adopted,
+  /// and the parked bags ask for the departure stamp + 2.
   void on_slot_deregister(int slot_idx) override {
     EbrSlot& s = at(slots_, slot_idx);
     s.announce.store(0, std::memory_order_release);
-    s.limbo.depart(epoch());
+    const std::uint64_t e = epoch();
+    s.limbo.depart(e);
+    if (!s.limbo.sealed.empty()) raise_need(e + 2);
     if (!opt_.leak) {
       try_advance(slot_idx);
       collect_safe(slot_idx, s);
@@ -130,8 +146,22 @@ class EbrReclaimer final : public Reclaimer {
     }
   }
 
+  /// CAS-max: a plain store could lower the need another lane raised
+  /// for a younger bag, which would then never get its second advance.
+  /// "none" never collects, so its bags never ask for an advance.
+  void raise_need(std::uint64_t need) {
+    if (opt_.leak) return;
+    std::uint64_t cur = need_.load(std::memory_order_relaxed);
+    while (cur < need && !need_.compare_exchange_weak(
+                             cur, need, std::memory_order_relaxed)) {
+    }
+  }
+
+  /// Moves the epoch one step, only while a sealed bag still waits for
+  /// it and no active thread announces an older epoch.
   void try_advance(int slot_idx) {
     const std::uint64_t e = epoch_.load(std::memory_order_acquire);
+    if (e >= need_.load(std::memory_order_relaxed)) return;
     for (const EbrSlot& s : slots_) {
       const std::uint64_t a = s.announce.load(std::memory_order_acquire);
       if ((a & 1) != 0 && (a >> 1) != e) return;  // active in an old epoch
@@ -147,6 +177,8 @@ class EbrReclaimer final : public Reclaimer {
   EbrOptions opt_;
   std::vector<EbrSlot> slots_;
   std::atomic<std::uint64_t> epoch_{0};
+  // The epoch the youngest sealed bag needs; only ever raised.
+  std::atomic<std::uint64_t> need_{0};
   std::atomic<std::uint64_t> epochs_advanced_{0};
 };
 

@@ -144,7 +144,7 @@ class RetireList {
 struct EbrOptions {
   const char* name = "ebr";
   bool leak = false;       // "none": retired nodes are never reclaimed
-  bool quiescent = false;  // qsbr/rcu: relaxed begin/end, no fences
+  bool quiescent = false;  // qsbr/rcu: release begin/end, no fence
 };
 
 enum class TokenPolicy {

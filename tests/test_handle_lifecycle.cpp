@@ -2,8 +2,9 @@
 // across every factory name, slot exhaustion and reuse, the
 // departed-thread guarantees (a released handle's pending retires still
 // reach total_freed(); a vacated slot never pins the epoch or stalls
-// the token ring), and a register/deregister churn stress over a live
-// lock-free structure — the TSAN target ci/check.sh race-checks.
+// the token ring), the EBR family's epoch-on-demand rule, and a
+// register/deregister churn stress over a live lock-free structure —
+// the TSAN target ci/check.sh race-checks.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -258,6 +259,183 @@ TEST(HandleLifecycle, StructureTeardownSurvivesExhaustedSlotTable) {
     w.r().flush_all();
     EXPECT_EQ(w.r().stats().pending, 0u) << ds_name;
     EXPECT_EQ(w.allocator.live(), 0u) << ds_name;
+  }
+}
+
+// ---------------------------------------------------- epoch on demand
+
+// The EBR family moves its epoch only while a sealed bag waits for
+// grace (its seal stamp + 2). Every case counts ops, not time.
+const char* const kEpochNames[] = {"none", "qsbr", "rcu", "debra",
+                                   "debra_af"};
+
+// No sealed bag anywhere: guarded ops, and departures that park
+// nothing, never move the epoch.
+TEST(EpochDemand, QuietOpsNeverAdvance) {
+  for (const char* name : kEpochNames) {
+    LifecycleWorld w(name, /*threads=*/3, /*batch=*/4);
+    std::vector<smr::ThreadHandle> hs;
+    for (int t = 0; t < 3; ++t) hs.push_back(w.r().register_thread());
+    for (int i = 0; i < 10000; ++i) {
+      smr::Guard g(hs[static_cast<std::size_t>(i % 3)]);
+    }
+    hs[1].release();  // a departure with an empty limbo
+    hs[1] = w.r().register_thread();
+    for (int i = 0; i < 100; ++i) {
+      smr::Guard g(hs[1]);
+    }
+    EXPECT_EQ(w.r().stats().epochs_advanced, 0u) << name;
+  }
+}
+
+// A bag sealed at batch 4 reaches the allocator within a bounded number
+// of the sealer's own ops (two advances, each tried every 16th op end),
+// and the epoch stands still once it has.
+TEST(EpochDemand, SealedBagReachesAllocatorWithinBoundedOps) {
+  for (const char* name : {"qsbr", "rcu", "debra", "debra_af"}) {
+    LifecycleWorld w(name, /*threads=*/3, /*batch=*/4);
+    smr::ThreadHandle sealer = w.r().register_thread();
+    smr::ThreadHandle idle1 = w.r().register_thread();  // registered,
+    smr::ThreadHandle idle2 = w.r().register_thread();  // never in an op
+    int ops = 0;
+    for (; ops < 4; ++ops) {  // the 4th retire seals the bag
+      smr::Guard g(sealer);
+      g.retire(w.r().alloc_node(sealer, 64));
+    }
+    while (w.allocator.frees() < 4 && ops < 1000) {
+      smr::Guard g(sealer);
+      ++ops;
+    }
+    EXPECT_EQ(w.allocator.frees(), 4u) << name;
+    EXPECT_LE(ops, 64) << name;
+
+    const std::uint64_t settled = w.r().stats().epochs_advanced;
+    EXPECT_EQ(settled, 2u) << name;
+    for (int i = 0; i < 1000; ++i) {
+      smr::Guard g(sealer);
+    }
+    EXPECT_EQ(w.r().stats().epochs_advanced, settled) << name;
+    EXPECT_EQ(w.r().stats().pending, 0u) << name;
+  }
+}
+
+// A departed slot's parked bags drive the epoch to their need (the
+// departure stamp + 2) through the survivors' ops, and no further; the
+// slot's next owner then adopts and drains them.
+TEST(EpochDemand, DepartedBagsSettleAtTheirNeed) {
+  for (const char* name : {"qsbr", "rcu", "debra", "debra_af"}) {
+    LifecycleWorld w(name, /*threads=*/3, /*batch=*/64);
+    smr::ThreadHandle h0 = w.r().register_thread();
+    smr::ThreadHandle h1 = w.r().register_thread();
+    {
+      smr::ThreadHandle departing = w.r().register_thread();
+      for (int i = 0; i < 3; ++i) {  // under batch: sealed at departure
+        smr::Guard g(departing);
+        g.retire(w.r().alloc_node(departing, 64));
+      }
+    }
+    for (int i = 0; i < 1000; ++i) {
+      smr::Guard g0(h0);
+      smr::Guard g1(h1);
+    }
+    EXPECT_EQ(w.r().stats().epochs_advanced, 2u) << name;
+    EXPECT_EQ(w.r().stats().pending, 3u) << name;  // parked, vacant slot
+
+    smr::ThreadHandle successor = w.r().register_thread();
+    for (int i = 0; i < 8; ++i) {
+      smr::Guard g(successor);
+    }
+    EXPECT_EQ(w.r().stats().pending, 0u) << name;
+    EXPECT_EQ(w.r().stats().epochs_advanced, 2u) << name;
+  }
+}
+
+// The leak baseline never collects, so its seals ask for no advance:
+// the epoch never moves and nothing is freed before teardown.
+TEST(EpochDemand, LeakBaselineNeverAdvances) {
+  LifecycleWorld w("none", /*threads=*/2, /*batch=*/4);
+  {
+    smr::ThreadHandle h = w.r().register_thread();
+    for (int i = 0; i < 64; ++i) {
+      smr::Guard g(h);
+      g.retire(w.r().alloc_node(h, 64));
+    }
+  }  // departs with 16 sealed bags parked
+  smr::ThreadHandle h = w.r().register_thread();
+  for (int i = 0; i < 1000; ++i) {
+    smr::Guard g(h);
+  }
+  EXPECT_EQ(w.r().stats().epochs_advanced, 0u);
+  EXPECT_EQ(w.allocator.frees(), 0u);
+  h.release();
+  w.r().flush_all();
+  EXPECT_EQ(w.r().stats().pending, 0u);
+  EXPECT_EQ(w.allocator.live(), 0u);
+}
+
+// Two retiring lanes beside a lookup-only lane: the reader dereferences
+// the node it loaded while the retirers swap it out and retire it, so an
+// early free shows as a use-after-free in the sanitizer legs (and,
+// usually, as a payload the retirers never wrote: the system allocator
+// keeps its own words in a freed block). The payload sits after the
+// NodeHeader word, which is the reclaimer's from retire onward. Every
+// advance answers a sealed bag's demand, so there are at most two per
+// seal ("none": zero); the ledger is exact after flush_all.
+TEST(EpochDemandConcurrent, RetiringLanesBesideLookupLanes) {
+  constexpr int kRetirers = 2;
+  constexpr std::uint64_t kOps = 3000;
+  constexpr std::size_t kBatch = 8;
+  for (const char* name : kEpochNames) {
+    LifecycleWorld w(name, /*threads=*/3, kBatch);
+    std::vector<smr::ThreadHandle> hs;
+    for (int t = 0; t <= kRetirers; ++t) {
+      hs.push_back(w.r().register_thread());
+    }
+    auto fresh = [&w](smr::ThreadHandle& h, std::uint64_t payload) {
+      auto* n = static_cast<std::uint64_t*>(w.r().alloc_node(h, 64));
+      n[1] = payload;
+      return n;
+    };
+    std::atomic<std::uint64_t*> shared{fresh(hs[0], 0)};
+    std::atomic<int> retirers_done{0};
+    std::atomic<std::uint64_t> bad_reads{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kRetirers; ++t) {
+      threads.emplace_back([&, t] {
+        smr::ThreadHandle& h = hs[static_cast<std::size_t>(t)];
+        for (std::uint64_t i = 0; i < kOps; ++i) {
+          smr::Guard g(h);
+          g.retire(shared.exchange(fresh(h, i), std::memory_order_acq_rel));
+        }
+        retirers_done.fetch_add(1);
+      });
+    }
+    threads.emplace_back([&] {
+      smr::ThreadHandle& h = hs[kRetirers];
+      while (retirers_done.load() < kRetirers) {
+        smr::Guard g(h);
+        if (g.protect(0, shared)[1] >= kOps) bad_reads.fetch_add(1);
+      }
+    });
+    for (std::thread& t : threads) t.join();
+
+    EXPECT_EQ(bad_reads.load(), 0u) << name;
+    const std::uint64_t seals = kRetirers * kOps / kBatch;
+    EXPECT_LE(w.r().stats().epochs_advanced,
+              std::string(name) == "none" ? 0 : 2 * seals)
+        << name;
+
+    {
+      smr::Guard g(hs[0]);
+      g.retire(shared.exchange(nullptr));
+    }
+    hs.clear();
+    w.r().flush_all();
+    const smr::SmrStats st = w.r().stats();
+    EXPECT_EQ(st.retired, kRetirers * kOps + 1) << name;
+    EXPECT_EQ(st.pending, 0u) << name;
+    EXPECT_EQ(w.allocator.live(), 0u) << name;
+    EXPECT_EQ(w.allocator.allocs(), w.allocator.frees()) << name;
   }
 }
 
